@@ -15,7 +15,9 @@
  *  - intra-run shard scaling: the sharded scale-out netperf workload
  *    (4 machine shards under sim::ShardedEngine) at 1/2/4 workers —
  *    events/sec per worker count plus the determinism digest, which
- *    must be identical at every worker count (hard gate).
+ *    must be identical at every worker count (hard gate).  Each trial
+ *    also prints its setup/run/teardown wall split, so a slow trial
+ *    shows whether building machines or running rounds is to blame.
  *
  * Results go to BENCH_selfperf.json (see EXPERIMENTS.md for the
  * schema).  The numbers are wall-clock and therefore host-dependent —
@@ -206,6 +208,10 @@ struct ShardTrial
     double wallMs = 0.0;
     double eventsPerSec = 0.0;
     std::uint64_t digest = 0;
+    // Phase split of wallMs (printed only; not part of the schema).
+    double setupMs = 0.0;
+    double runMs = 0.0;
+    double teardownMs = 0.0;
 };
 
 /** One sharded scale-out netperf run at @p workers threads. */
@@ -230,7 +236,18 @@ runShardTrial(unsigned workers, TimeNs warmup_ns, TimeNs measure_ns)
     t.wallMs = wall_s * 1e3;
     t.eventsPerSec = wall_s > 0.0 ? double(r.events) / wall_s : 0.0;
     t.digest = r.digest;
+    t.setupMs = r.setupWallMs;
+    t.runMs = r.runWallMs;
+    t.teardownMs = r.teardownWallMs;
     return t;
+}
+
+void
+printShardPhases(const ShardTrial &t)
+{
+    std::printf("  w%u phases: setup %.1f ms, run %.1f ms, "
+                "teardown %.1f ms (of %.1f wall-ms)\n",
+                t.workers, t.setupMs, t.runMs, t.teardownMs, t.wallMs);
 }
 
 std::string
@@ -429,6 +446,8 @@ regressCheck(const std::string &path, double tolerance_pct,
                     : 0.0,
                 digestHex(w1.digest).c_str(),
                 digestHex(w4.digest).c_str());
+    printShardPhases(w1);
+    printShardPhases(w4);
     if (w1.digest != w4.digest || w1.events != w4.events) {
         std::fprintf(stderr,
                      "bench_selfperf: shard DETERMINISM violation: "
@@ -588,6 +607,7 @@ main(int argc, char **argv)
                     "(%.3fM ev/s, digest %s)\n",
                     t.workers, t.wallMs, t.eventsPerSec / 1e6,
                     digestHex(t.digest).c_str());
+        printShardPhases(t);
     }
     for (const ShardTrial &t : shard_trials) {
         if (t.digest != shard_trials.front().digest ||

@@ -7,6 +7,8 @@
 
 #include <cassert>
 
+#include "sim/check.hh"
+
 namespace damn::mem {
 
 namespace {
@@ -145,9 +147,12 @@ PageAllocator::freeToZone(Zone &z, Pfn pfn, unsigned order)
 void
 PageAllocator::freePages(Pfn pfn, unsigned order)
 {
-    assert(order <= kMaxOrder);
+    DAMN_CHECK(order <= kMaxOrder, "freePages order above kMaxOrder");
+    DAMN_CHECK(pfn + (1ull << order) <= pm_.numFrames(),
+               "freePages of a block outside physical memory");
     Page &pg = pm_.page(pfn);
-    assert(!(pg.flags & kBuddyFree) && "double free");
+    DAMN_CHECK(!(pg.flags & kBuddyFree),
+               "double free of a buddy block");
     pg.refcount = 0;
     // Clear per-page metadata across the block so reuse starts clean.
     for (Pfn p = pfn; p < pfn + (1ull << order); ++p) {

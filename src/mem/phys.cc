@@ -5,9 +5,69 @@
 
 #include "mem/phys.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
+
+#include "sim/check.hh"
 
 namespace damn::mem {
+
+namespace {
+
+/**
+ * Reserve @p count zeroed elements of @p T as one private anonymous
+ * mapping.  The host kernel supplies zero pages on first touch, so
+ * only the entries actually used ever become resident; MAP_NORESERVE
+ * keeps a large untouched reservation from counting against the
+ * host's commit limit.  Throws std::bad_alloc rather than returning
+ * an unusable base.
+ */
+template <class T>
+T *
+mapZeroed(std::uint64_t count)
+{
+    void *p = ::mmap(nullptr, count * sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return static_cast<T *>(p);
+}
+
+template <class T>
+void
+unmap(T *base, std::uint64_t count)
+{
+    DAMN_CHECK(::munmap(base, count * sizeof(T)) == 0,
+               "munmap of physical-memory metadata failed");
+}
+
+} // namespace
+
+PhysicalMemory::PhysicalMemory(std::uint64_t bytes)
+    : numFrames_(bytes >> kPageShift)
+{
+    DAMN_CHECK(bytes % kPageSize == 0,
+               "physical memory size must be page-aligned");
+    DAMN_CHECK(numFrames_ > 0,
+               "physical memory must hold at least one frame");
+    pages_ = mapZeroed<Page>(numFrames_);
+    try {
+        frames_ = mapZeroed<Frame *>(numFrames_);
+    } catch (...) {
+        unmap(pages_, numFrames_);
+        throw;
+    }
+}
+
+PhysicalMemory::~PhysicalMemory()
+{
+    for (const Pfn pfn : backedPfns_)
+        delete frames_[pfn];
+    unmap(frames_, numFrames_);
+    unmap(pages_, numFrames_);
+}
 
 void
 PhysicalMemory::write(Pa pa, const void *src, std::uint64_t len)

@@ -9,18 +9,31 @@
  * physical addresses (the direct map), so a `Pa` doubles as the kernel
  * pointer throughout the codebase.
  *
- * Frames are backed lazily so experiments can declare multi-GiB
- * machines while touching only the pages they actually use.
+ * Everything per-frame is backed lazily, so experiments can declare
+ * multi-GiB machines while paying only for the pages they touch.  The
+ * frame bytes are allocated on first write.  The metadata is lazy too:
+ * the page-struct array and the frame table are each one anonymous
+ * mapping whose host pages are zero-filled by the host kernel on first
+ * touch, the analogue of Linux's SPARSEMEM_VMEMMAP memmap, which is
+ * virtually contiguous (so page(pfn) and pfnOf() stay one add/subtract)
+ * but populated only where memory exists.  An untouched entry reads as
+ * `Page{}` because a `Page` of all-zero bytes *is* `Page{}` (asserted
+ * below).  Building a 4 GiB machine therefore costs O(touched pages),
+ * not a 48 MB zero-fill, and teardown frees only the frames that were
+ * backed.
  */
 
 #ifndef DAMN_MEM_PHYS_HH
 #define DAMN_MEM_PHYS_HH
 
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace damn::mem {
@@ -73,30 +86,44 @@ struct Page
     bool test(PageFlag f) const { return flags & f; }
     void set(PageFlag f) { flags |= f; }
     void clearFlag(PageFlag f) { flags &= ~std::uint32_t(f); }
+
+    bool operator==(const Page &) const = default;
 };
+
+// PhysicalMemory hands out page structs straight from a zero-filled
+// mapping without constructing them, so a Page must be a plain bag of
+// bytes whose all-zero pattern is exactly its default state.
+static_assert(std::is_trivially_copyable_v<Page> &&
+              std::is_trivially_destructible_v<Page>);
+static_assert(std::bit_cast<Page>(std::array<std::byte, sizeof(Page)>{}) ==
+                  Page{},
+              "all-zero bytes must read as Page{}");
 
 /**
  * The machine's physical memory: lazily-backed 4 KiB frames plus the
- * page-struct array.
+ * page-struct array, both costing only what is touched.
  */
 class PhysicalMemory
 {
   public:
-    /** @param bytes total physical memory size; must be page-aligned. */
-    explicit PhysicalMemory(std::uint64_t bytes)
-        : numFrames_(bytes >> kPageShift),
-          frames_(numFrames_),
-          pages_(numFrames_)
-    {
-        assert(bytes % kPageSize == 0);
-        assert(numFrames_ > 0);
-    }
+    /**
+     * @param bytes total physical memory size; must be page-aligned
+     *              and non-zero.
+     * @throws std::bad_alloc if the host cannot map the metadata.
+     */
+    explicit PhysicalMemory(std::uint64_t bytes);
+    ~PhysicalMemory();
+
+    PhysicalMemory(const PhysicalMemory &) = delete;
+    PhysicalMemory &operator=(const PhysicalMemory &) = delete;
 
     std::uint64_t sizeBytes() const { return numFrames_ * kPageSize; }
     Pfn numFrames() const { return numFrames_; }
 
     /** Page struct for a frame (constant time, like Linux's memmap). */
     Page &page(Pfn pfn) { assert(pfn < numFrames_); return pages_[pfn]; }
+    /** Read-only page struct.  Reading an untouched entry maps the
+     *  host's shared zero page: it allocates no memory. */
     const Page &
     page(Pfn pfn) const
     {
@@ -111,7 +138,7 @@ class PhysicalMemory
     Pfn
     pfnOf(const Page &pg) const
     {
-        return Pfn(&pg - pages_.data());
+        return Pfn(&pg - pages_);
     }
 
     /** Write @p len bytes at @p pa (may cross frames). */
@@ -128,7 +155,7 @@ class PhysicalMemory
     void writeByte(Pa pa, std::uint8_t v);
 
     /** Number of frames that have been touched (backed). */
-    std::uint64_t backedFrames() const { return backed_; }
+    std::uint64_t backedFrames() const { return backedPfns_.size(); }
 
   private:
     using Frame = std::array<std::uint8_t, kPageSize>;
@@ -137,11 +164,11 @@ class PhysicalMemory
     backing(Pfn pfn)
     {
         assert(pfn < numFrames_);
-        auto &f = frames_[pfn];
+        Frame *&f = frames_[pfn];
         if (!f) {
-            f = std::make_unique<Frame>();
-            f->fill(0);
-            ++backed_;
+            auto fresh = std::make_unique<Frame>(); // its only zero-fill
+            backedPfns_.push_back(pfn);
+            f = fresh.release();
         }
         return f->data();
     }
@@ -153,14 +180,14 @@ class PhysicalMemory
         // them; a static zero frame serves all such reads.
         static const Frame kZero{};
         assert(pfn < numFrames_);
-        const auto &f = frames_[pfn];
+        const Frame *f = frames_[pfn];
         return f ? f->data() : kZero.data();
     }
 
     Pfn numFrames_;
-    std::vector<std::unique_ptr<Frame>> frames_;
-    std::vector<Page> pages_;
-    std::uint64_t backed_ = 0;
+    Page *pages_ = nullptr;    //!< numFrames_ entries, lazily zeroed
+    Frame **frames_ = nullptr; //!< numFrames_ entries, lazily zeroed
+    std::vector<Pfn> backedPfns_; //!< frames to free at teardown
 };
 
 } // namespace damn::mem

@@ -5,6 +5,7 @@
 
 #include "workloads/sharded.hh"
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,15 @@
 namespace damn::work {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+}
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -84,6 +94,7 @@ struct Telemetry
 ShardedNetperfResult
 runShardedNetperf(const ShardedNetperfOpts &opts)
 {
+    const Clock::time_point setup0 = Clock::now();
     const unsigned k = opts.plan.shards > 0 ? opts.plan.shards : 1;
     const sim::TimeNs link =
         opts.plan.resolvedLinkNs(opts.sysParams.cost);
@@ -156,6 +167,8 @@ runShardedNetperf(const ShardedNetperfOpts &opts)
     }
 
     ShardedNetperfResult r;
+    r.setupWallMs = msSince(setup0);
+    const Clock::time_point run0 = Clock::now();
 
     // Warmup phase, then reset the busy-time/bandwidth accounting on
     // every shard so the measurement window is clean (the sharded
@@ -217,6 +230,15 @@ runShardedNetperf(const ShardedNetperfOpts &opts)
                  : sim::bytesPerNsToGbps(
                        double(r.bytes) /
                        double(opts.runWindow.measureNs));
+    r.runWallMs = msSince(run0);
+
+    // Tear the machines down here rather than on return, so the cost
+    // is timed.  The heartbeats point into the shards; the sharded
+    // engine only holds pointers it no longer dereferences.
+    const Clock::time_point teardown0 = Clock::now();
+    heartbeats.clear();
+    shards.clear();
+    r.teardownWallMs = msSince(teardown0);
     return r;
 }
 

@@ -63,6 +63,13 @@ struct ShardedNetperfResult
      *  worker counts certify byte-identical execution. */
     std::uint64_t digest = 0;
     std::vector<sim::ShardStall> stalls;
+    /** Host wall-clock time of each phase, in ms: building and wiring
+     *  the shard Systems, running the rounds and folding the digest,
+     *  and destroying the Systems.  Host-dependent, so never part of
+     *  the digest or of any report that must be reproducible. */
+    double setupWallMs = 0.0;
+    double runWallMs = 0.0;
+    double teardownWallMs = 0.0;
 };
 
 /** Run one sharded scale-out netperf measurement. */

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <array>
+#include <cstddef>
+#include <cstring>
+#include <new>
+
 #include "mem/kmalloc.hh"
 #include "mem/page_frag.hh"
 #include "sim/context.hh"
@@ -73,6 +80,13 @@ TEST(PhysicalMemory, LazyBacking)
     pm.writeByte(5 * kPageSize, 1);
     pm.writeByte(9 * kPageSize, 1);
     EXPECT_EQ(pm.backedFrames(), 2u);
+    // Rewriting a backed frame or reading any frame backs nothing new.
+    pm.writeByte(5 * kPageSize + 1, 2);
+    EXPECT_EQ(pm.readByte(7 * kPageSize), 0);
+    EXPECT_EQ(pm.backedFrames(), 2u);
+    // A freshly backed frame is zero apart from what was written.
+    EXPECT_EQ(pm.readByte(9 * kPageSize + 1), 0);
+    EXPECT_EQ(pm.readByte(9 * kPageSize + kPageSize - 1), 0);
 }
 
 TEST(PhysicalMemory, FillAndCopy)
@@ -91,6 +105,76 @@ TEST(PhysicalMemory, PageStructLookup)
     PhysicalMemory pm(4 * kMiB);
     Page &pg = pm.pageOf(3 * kPageSize + 17);
     EXPECT_EQ(pm.pfnOf(pg), 3u);
+}
+
+TEST(PhysicalMemory, ZeroBytesAreDefaultPage)
+{
+    // The page-struct array is a zero-filled mapping, never constructed
+    // entry by entry: all-zero bytes must be Page{} (also a
+    // static_assert in phys.hh; this checks the runtime layout).
+    std::array<std::byte, sizeof(Page)> zero{};
+    Page pg;
+    pg.set(PG_damn);
+    pg.priv = 42;
+    std::memcpy(&pg, zero.data(), sizeof(pg));
+    EXPECT_TRUE(pg == Page{});
+}
+
+TEST(PhysicalMemory, UntouchedPageIsDefault)
+{
+    PhysicalMemory pm(64 * kMiB);
+    const PhysicalMemory &cpm = pm;
+    EXPECT_TRUE(cpm.page(pm.numFrames() - 1) == Page{});
+    EXPECT_TRUE(cpm.page(0) == Page{});
+}
+
+TEST(PhysicalMemory, PfnOfRoundTripsAtBothEnds)
+{
+    PhysicalMemory pm(64 * kMiB);
+    const Pfn last = pm.numFrames() - 1;
+    EXPECT_EQ(pm.pfnOf(pm.page(0)), 0u);
+    EXPECT_EQ(pm.pfnOf(pm.page(last)), last);
+    EXPECT_EQ(&pm.pageOf(pfnToPa(last) + 5), &pm.page(last));
+}
+
+TEST(PhysicalMemory, SixteenGiBMachineBuildsAndTearsDown)
+{
+    PhysicalMemory pm(16ull << 30);
+    PageAllocator pa(pm, 2);
+    EXPECT_EQ(pm.numFrames(), 4ull << 20);
+    const Pfn p = pa.allocPages(3, 1, /*zero=*/true);
+    ASSERT_NE(p, kInvalidPfn);
+    EXPECT_EQ(pa.nodeOf(p), 1u);
+    pm.writeByte(pfnToPa(p) + 100, 7);
+    EXPECT_EQ(pm.readByte(pfnToPa(p) + 100), 7);
+    EXPECT_EQ(pm.backedFrames(), 8u);
+    pa.freePages(p, 3);
+    EXPECT_EQ(pa.allocatedFrames(), 0u);
+}
+
+TEST(PhysicalMemory, UnmappableSizeThrowsBadAlloc)
+{
+    // 2^50 frames need 40 PiB of page structs: no host maps that.
+    EXPECT_THROW(PhysicalMemory(1ull << 62), std::bad_alloc);
+}
+
+TEST(PhysicalMemory, BuildingMetadataFaultsOnlyTouchedPages)
+{
+    // Residency regression: a dense 4 GiB memmap (1M page structs plus
+    // the frame table, 48 MB) costs over 12k minor faults to zero.
+    // Lazily backed metadata faults only the page structs the buddy
+    // allocator writes: the reserved first block and one head per
+    // max-order block.
+    rusage before{};
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    {
+        PhysicalMemory pm(4ull << 30);
+        PageAllocator pa(pm, 2);
+        ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+        EXPECT_EQ(pm.backedFrames(), 0u);
+    }
+    EXPECT_LT(after.ru_minflt - before.ru_minflt, 4096);
 }
 
 TEST(PhysicalMemory, PaPfnConversions)

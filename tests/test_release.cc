@@ -116,3 +116,37 @@ TEST(Release, SystemBootsAndMapsUnderPressureWiring)
     EXPECT_GT(sys.ctx.stats.get("iommu.iova_forced_flushes"), 0u);
     EXPECT_EQ(sys.dmaApi->mapFailures(), 0u);
 }
+
+// Integrity checks are fail-stop in every build type, not asserts that
+// NDEBUG compiles out.
+TEST(ReleaseDeath, BuddyDoubleFreeDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_DEATH(
+        {
+            mem::PhysicalMemory pm(64 * kMiB);
+            mem::PageAllocator pa(pm, 1);
+            const mem::Pfn p = pa.allocPages(2, 0);
+            pa.freePages(p, 2);
+            pa.freePages(p, 2);
+        },
+        "double free");
+}
+
+TEST(ReleaseDeath, BuddyFreeOutOfRangeDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    mem::PhysicalMemory pm(8 * kMiB);
+    mem::PageAllocator pa(pm, 1);
+    ASSERT_DEATH(pa.freePages(pm.numFrames(), 0),
+                 "outside physical memory");
+    ASSERT_DEATH(pa.freePages(1024, mem::PageAllocator::kMaxOrder + 1),
+                 "order above kMaxOrder");
+}
+
+TEST(ReleaseDeath, UnalignedPhysicalMemoryDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_DEATH({ mem::PhysicalMemory pm(kMiB + 1); }, "page-aligned");
+    ASSERT_DEATH({ mem::PhysicalMemory pm(0); }, "at least one frame");
+}

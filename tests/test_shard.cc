@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -132,11 +133,18 @@ TEST(Shard, ZeroLookaheadDeliversAfterPreexistingSameTimeEvents)
         se.addShard("dst", dst);
         const unsigned ch = se.connect(0, 1, 0);
 
+        // The two shards may run on different workers in the same
+        // round, so the shared log takes a lock.
+        std::mutex mu;
         std::vector<std::string> order;
-        dst.schedule(100, [&order] { order.push_back("dst-pre"); });
+        auto log = [&mu, &order](const char *what) {
+            const std::lock_guard<std::mutex> g(mu);
+            order.push_back(what);
+        };
+        dst.schedule(100, [&log] { log("dst-pre"); });
         src.schedule(100, [&] {
-            order.push_back("src-send");
-            se.send(ch, [&order] { order.push_back("dst-msg"); });
+            log("src-send");
+            se.send(ch, [&log] { log("dst-msg"); });
         });
         se.runAll(workers);
 
