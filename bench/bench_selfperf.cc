@@ -33,6 +33,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/driver.hh"
 #include "exp/json.hh"
@@ -60,8 +61,9 @@ const char kUsage[] =
     "  --check=PATH      validate an existing artifact against the\n"
     "                    schema and exit (no benchmarking)\n"
     "  --regress-check=PATH\n"
-    "                    re-run the engine A/B microbench and fail\n"
-    "                    (exit 5) if the measured fast/legacy speedup\n"
+    "                    re-run the engine A/B microbench (5 pairs,\n"
+    "                    alternating which engine runs first) and fail\n"
+    "                    (exit 5) if the median fast/legacy speedup\n"
     "                    falls more than --tolerance percent below\n"
     "                    PATH's recorded engine.speedup.  The ratio is\n"
     "                    host-independent (both engines run on the\n"
@@ -140,21 +142,62 @@ engineEventsPerSecOnce(std::uint64_t target)
 }
 
 /**
- * Best-of-K events/sec: scheduler preemption and frequency scaling
- * only ever make a trial *slower*, so the max over trials is the
- * least-noisy estimate of the engine's true rate — what both the
- * artifact and the bench-selfperf-tolerance regression gate record.
+ * Engine A/B as kEnginePairs interleaved pairs, alternating which
+ * engine runs first so neither always inherits the other's warm (or
+ * cold) caches and frequency state.  Each pair yields one fast/legacy
+ * ratio; the median ratio is what both the artifact and the
+ * bench-selfperf-tolerance gate use, since one preempted trial moves
+ * the median of five ratios far less than it moves a single ratio.
  */
-constexpr unsigned kEngineTrials = 5;
+constexpr unsigned kEnginePairs = 5;
 
-template <typename Eng>
-double
-engineEventsPerSec(std::uint64_t target)
+struct EngineAB
 {
-    double best = 0.0;
-    for (unsigned i = 0; i < kEngineTrials; ++i)
-        best = std::max(best, engineEventsPerSecOnce<Eng>(target));
-    return best;
+    struct Pair
+    {
+        double ratio;  //!< fast / legacy events/sec
+        double fast;   //!< events/sec
+        double legacy; //!< events/sec
+    };
+    std::vector<Pair> pairs; //!< sorted by ratio
+
+    const Pair &median() const { return pairs[pairs.size() / 2]; }
+};
+
+EngineAB
+engineAB(std::uint64_t events)
+{
+    EngineAB ab;
+    for (unsigned i = 0; i < kEnginePairs; ++i) {
+        double fast = 0.0;
+        double legacy = 0.0;
+        if (i % 2 == 0) {
+            legacy = engineEventsPerSecOnce<damn::bench::LegacyEngine>(
+                events);
+            fast = engineEventsPerSecOnce<damn::sim::Engine>(events);
+        } else {
+            fast = engineEventsPerSecOnce<damn::sim::Engine>(events);
+            legacy = engineEventsPerSecOnce<damn::bench::LegacyEngine>(
+                events);
+        }
+        ab.pairs.push_back({fast / legacy, fast, legacy});
+    }
+    std::sort(ab.pairs.begin(), ab.pairs.end(),
+              [](const EngineAB::Pair &a, const EngineAB::Pair &b) {
+                  return a.ratio < b.ratio;
+              });
+    return ab;
+}
+
+void
+printEngineAB(const EngineAB &ab)
+{
+    std::printf("engine speedup over %u interleaved pairs: min %.3fx, "
+                "median %.3fx, max %.3fx (median pair: fast %.3fM "
+                "ev/s, legacy %.3fM ev/s)\n",
+                unsigned(ab.pairs.size()), ab.pairs.front().ratio,
+                ab.median().ratio, ab.pairs.back().ratio,
+                ab.median().fast / 1e6, ab.median().legacy / 1e6);
 }
 
 struct UnitResult
@@ -368,9 +411,9 @@ checkSchema(const damn::exp::Json &doc, std::string *err)
 
 /**
  * Perf-regression gate (the bench-selfperf-tolerance ctest): re-run
- * the engine A/B and compare the measured speedup ratio against the
- * committed baseline, then re-run the intra-run shard scaling A/B
- * (1 worker vs 4) with two gates:
+ * the interleaved engine A/B and compare its median speedup ratio
+ * against the committed baseline, then re-run the intra-run shard
+ * scaling A/B (1 worker vs 4) with two gates:
  *
  *  - determinism: the two worker counts must produce identical
  *    digests on every host (byte-identical execution — exit 5);
@@ -414,13 +457,12 @@ regressCheck(const std::string &path, double tolerance_pct,
         return 1;
     }
 
-    const double legacy =
-        engineEventsPerSec<damn::bench::LegacyEngine>(events);
-    const double fast = engineEventsPerSec<damn::sim::Engine>(events);
-    const double measured = fast / legacy;
+    const EngineAB ab = engineAB(events);
+    printEngineAB(ab);
+    const double measured = ab.median().ratio;
     const double floor = baseline * (1.0 - tolerance_pct / 100.0);
-    std::printf("engine speedup: measured %.3fx, baseline %.3fx, "
-                "floor %.3fx (tolerance %.0f%%)\n",
+    std::printf("engine speedup: measured %.3fx (median), baseline "
+                "%.3fx, floor %.3fx (tolerance %.0f%%)\n",
                 measured, baseline, floor, tolerance_pct);
     if (measured < floor) {
         std::fprintf(stderr,
@@ -576,15 +618,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // Engine A/B: legacy first so its allocator churn cannot warm
-    // caches for the production engine's run.
-    const double legacy =
-        engineEventsPerSec<damn::bench::LegacyEngine>(events);
-    const double fast =
-        engineEventsPerSec<damn::sim::Engine>(events);
-    std::printf("engine dispatch: fast %.3fM ev/s, legacy %.3fM ev/s "
-                "(%.2fx)\n",
-                fast / 1e6, legacy / 1e6, fast / legacy);
+    const EngineAB ab = engineAB(events);
+    printEngineAB(ab);
 
     std::vector<UnitResult> units;
     for (const damn::dma::SchemeKind k : damn::exp::defaultSchemes()) {
@@ -627,9 +662,9 @@ main(int argc, char **argv)
     doc.set("generator", "bench_selfperf");
     Json eng = Json::object();
     eng.set("events", events);
-    eng.set("fast_events_per_sec", fast);
-    eng.set("legacy_events_per_sec", legacy);
-    eng.set("speedup", fast / legacy);
+    eng.set("fast_events_per_sec", ab.median().fast);
+    eng.set("legacy_events_per_sec", ab.median().legacy);
+    eng.set("speedup", ab.median().ratio);
     doc.set("engine", std::move(eng));
     Json junits = Json::array();
     junits.reserve(units.size());

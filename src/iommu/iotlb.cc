@@ -128,14 +128,37 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
     ++invalidations_;
     const Iova lo = iova;
     const Iova hi = iova + len;
-    for (auto *bank : {&bank4k_, &bank2m_}) {
-        for (TlbEntry &e : *bank) {
-            if (!e.valid || e.domain != domain)
-                continue;
-            const std::uint64_t sz =
-                e.huge ? kHugePageSize : mem::kPageSize;
-            if (e.iovaPage < hi && e.iovaPage + sz > lo)
-                e.valid = false;
+    const auto invalidate = [&](TlbEntry &e) {
+        if (!e.valid || e.domain != domain)
+            return;
+        const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
+        if (e.iovaPage < hi && e.iovaPage + sz > lo)
+            e.valid = false;
+    };
+    // Page-selective invalidation (VT-d PSI with an address mask, the
+    // SMMUv3 range TLBI): an entry overlapping [lo, hi) has a page tag
+    // in [lo >> shift, (hi - 1) >> shift], so only the sets those tags
+    // index can hold one.  The predicate is the same as the full scan's,
+    // so the same entries go.  An empty range (hi == lo), one that
+    // wraps past 2^64 (hi < lo), or one with at least as many tags as
+    // the bank has sets scans the whole bank.
+    const bool indexed = hi > lo;
+    for (const bool huge : {false, true}) {
+        auto &bank = huge ? bank2m_ : bank4k_;
+        const unsigned sets = huge ? sets2m_ : sets4k_;
+        const unsigned shift = huge ? 21 : 12;
+        const Iova first = lo >> shift;
+        const Iova tags = indexed ? ((hi - 1) >> shift) - first + 1 : 0;
+        if (!indexed || tags >= sets) {
+            for (TlbEntry &e : bank)
+                invalidate(e);
+            continue;
+        }
+        const unsigned ways = waysOf(huge);
+        for (Iova t = first; t < first + tags; ++t) {
+            TlbEntry *set = setBase(huge, domain, t << shift);
+            for (unsigned w = 0; w < ways; ++w)
+                invalidate(set[w]);
         }
     }
 }

@@ -73,7 +73,12 @@ class Iotlb
     /** Insert a walk result (evicts LRU way of the set). */
     void insert(DomainId domain, Iova iova, const WalkResult &walk);
 
-    /** Invalidate any entry covering [@p iova, @p iova + @p len). */
+    /**
+     * Invalidate any entry covering [@p iova, @p iova + @p len).
+     * Visits only the sets the range's page tags index; a range with
+     * at least as many tags as a bank has sets, an empty range, or one
+     * that wraps past 2^64 scans that bank in full.
+     */
     void invalidateRange(DomainId domain, Iova iova, std::uint64_t len);
 
     /** Invalidate everything belonging to @p domain. */

@@ -30,7 +30,7 @@ PageAllocator::PageAllocator(PhysicalMemory &pm, unsigned zones)
         z.base = per_zone * zi;
         z.frames = per_zone;
         z.free.resize(kMaxOrder + 1);
-        // Seed the free lists with max-order blocks.  Frame 0 stays
+        // Seed the zone with max-order blocks.  Frame 0 stays
         // reserved (null); the first max-order block of zone 0 is
         // donated frame-by-frame minus frame 0 -- simpler: skip the
         // whole first block of zone 0 and mark it reserved.
@@ -40,15 +40,12 @@ PageAllocator::PageAllocator(PhysicalMemory &pm, unsigned zones)
                 pm_.page(p).set(PG_reserved);
             start += 1ull << kMaxOrder;
         }
-        const Pfn end = z.base + z.frames;
-        for (Pfn p = start; p + (1ull << kMaxOrder) <= end;
-             p += 1ull << kMaxOrder) {
-            z.free[kMaxOrder].insert(p);
-            z.freeFrames += 1ull << kMaxOrder;
-            Page &pg = pm_.page(p);
-            pg.order = kMaxOrder;
-            pg.flags |= kBuddyFree;
-        }
+        // Lazily: every block starts at or above the watermark, so none
+        // is listed and no head page is written.
+        const Pfn blocks = (z.base + z.frames - start) >> kMaxOrder;
+        z.watermark = start;
+        z.seedEnd = start + (blocks << kMaxOrder);
+        z.freeFrames = blocks << kMaxOrder;
     }
 }
 
@@ -72,16 +69,26 @@ PageAllocator::zoneOf(Pfn pfn)
 Pfn
 PageAllocator::allocFromZone(Zone &z, unsigned order, bool zero)
 {
-    // Find the smallest available order >= requested.
+    // Find the smallest available order >= requested.  A listed
+    // max-order block was freed after an allocation, so it lies below
+    // the watermark: taking the list first and the watermark second
+    // hands out pfns in the same order as if every block had been
+    // listed from the start.
     unsigned o = order;
-    while (o <= kMaxOrder && z.free[o].empty())
+    while (o < kMaxOrder && z.free[o].empty())
         ++o;
-    if (o > kMaxOrder)
+    std::set<Pfn> &list = z.free[o];
+    Pfn pfn;
+    if (!list.empty()) {
+        pfn = *list.begin();
+        list.erase(list.begin());
+        pm_.page(pfn).flags &= ~kBuddyFree;
+    } else if (o == kMaxOrder && z.watermark < z.seedEnd) {
+        pfn = z.watermark;
+        z.watermark += 1ull << kMaxOrder;
+    } else {
         return kInvalidPfn;
-
-    const Pfn pfn = *z.free[o].begin();
-    z.free[o].erase(z.free[o].begin());
-    pm_.page(pfn).flags &= ~kBuddyFree;
+    }
 
     // Split down to the requested order, returning the upper halves
     // to the free lists.
@@ -150,6 +157,9 @@ PageAllocator::freePages(Pfn pfn, unsigned order)
     DAMN_CHECK(order <= kMaxOrder, "freePages order above kMaxOrder");
     DAMN_CHECK(pfn + (1ull << order) <= pm_.numFrames(),
                "freePages of a block outside physical memory");
+    Zone &z = zoneOf(pfn);
+    DAMN_CHECK(pfn + (1ull << order) <= z.watermark,
+               "free of a never-allocated buddy block");
     Page &pg = pm_.page(pfn);
     DAMN_CHECK(!(pg.flags & kBuddyFree),
                "double free of a buddy block");
@@ -164,7 +174,6 @@ PageAllocator::freePages(Pfn pfn, unsigned order)
         tp.slabClass = 0;
     }
 
-    Zone &z = zoneOf(pfn);
     const Pfn frames = 1ull << order;
     z.freeFrames += frames;
     assert(allocatedFrames_ >= frames);

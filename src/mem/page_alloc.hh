@@ -75,6 +75,13 @@ class PageAllocator
         // Free blocks per order; ordered sets make splits/merges
         // deterministic and allow O(log n) removal of a specific buddy.
         std::vector<std::set<Pfn>> free;
+        // Every max-order block at or above this pfn (up to seedEnd) is
+        // free without being in free[kMaxOrder] and without its head
+        // page struct having been written, so construction faults in
+        // no block's memmap; a block's is touched only once the block
+        // is first allocated.
+        Pfn watermark = 0;
+        Pfn seedEnd = 0;
         std::uint64_t freeFrames = 0;
     };
 

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+#include <vector>
+
 #include "iommu/backend_smmu.hh"
 #include "iommu/backend_vtd.hh"
 #include "iommu/iommu.hh"
@@ -233,6 +238,270 @@ TEST(Iotlb, HitRateStat)
     EXPECT_DOUBLE_EQ(tlb.hitRate(), 0.5);
     tlb.resetAccounting();
     EXPECT_EQ(tlb.hits() + tlb.misses(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Iotlb page-selective invalidation vs a full-scan reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr DomainId kDiffDomains = 3;
+constexpr unsigned kSets4k = 256; // default geometry
+constexpr unsigned kSets2m = 32;
+constexpr Iova kWindow = 0x1000'0000; // 2 MiB-aligned fill window
+constexpr Iova kTop = ~Iova{0};
+
+using EntryKey = std::tuple<DomainId, Iova, bool, mem::Pa, std::uint32_t,
+                            std::uint64_t>;
+
+/** Every valid entry of every domain, LRU stamp included, sorted. */
+std::vector<EntryKey>
+snapshot(const Iotlb &tlb)
+{
+    std::vector<EntryKey> out;
+    for (DomainId d = 0; d < kDiffDomains; ++d)
+        for (const TlbEntry &e : tlb.validEntries(d))
+            out.emplace_back(e.domain, e.iovaPage, e.huge, e.paPage,
+                             e.perm, e.lastUse);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/** The full-scan predicate invalidateRange must reproduce exactly,
+ *  64-bit wrap-around included. */
+bool
+referenceCovers(const EntryKey &k, DomainId domain, Iova iova,
+                std::uint64_t len)
+{
+    const Iova page = std::get<1>(k);
+    const std::uint64_t sz =
+        std::get<2>(k) ? kHugePageSize : mem::kPageSize;
+    return std::get<0>(k) == domain && page < iova + len &&
+        page + sz > iova;
+}
+
+/** Both banks filled from @p seed across kDiffDomains domains: 4 KiB
+ *  pages in an 8 MiB window, 2 MiB pages in a 128 MiB one overlapping
+ *  it, and a few of each just below 2^64. */
+void
+fillFromSeed(Iotlb &tlb, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 1800; ++i) {
+        const DomainId d = DomainId(rng() % kDiffDomains);
+        const Iova iova = i % 50 == 0
+            ? kTop - ((rng() % 8) << 12) - 0xfff
+            : kWindow + ((rng() % 2048) << 12);
+        tlb.insert(d, iova, walkOf((rng() % 4096) << 12, PermRW));
+    }
+    for (int i = 0; i < 200; ++i) {
+        const DomainId d = DomainId(rng() % kDiffDomains);
+        const Iova iova = i % 25 == 0
+            ? kTop - ((rng() % 4) << 21) - (kHugePageSize - 1)
+            : kWindow + ((rng() % 64) << 21);
+        tlb.insert(d, iova,
+                   walkOf((rng() % 64) << 21, PermRead, /*huge=*/true));
+    }
+}
+
+/**
+ * Apply invalidateRange(@p domain, @p iova, @p len) and require the
+ * surviving entries to be exactly what the reference full scan leaves,
+ * with invalidations() advancing by one.  Returns how many entries the
+ * reference removed, so a case can assert it was not vacuous.
+ */
+std::size_t
+expectMatchesReference(Iotlb &tlb, DomainId domain, Iova iova,
+                       std::uint64_t len)
+{
+    std::vector<EntryKey> expected;
+    std::size_t removed = 0;
+    for (const EntryKey &k : snapshot(tlb)) {
+        if (referenceCovers(k, domain, iova, len))
+            ++removed;
+        else
+            expected.push_back(k);
+    }
+    const std::uint64_t before = tlb.invalidations();
+    tlb.invalidateRange(domain, iova, len);
+    EXPECT_EQ(tlb.invalidations(), before + 1);
+    EXPECT_EQ(snapshot(tlb), expected)
+        << "domain " << domain << " iova 0x" << std::hex << iova
+        << " len 0x" << len;
+    return removed;
+}
+
+/** One case on a freshly filled IOTLB. */
+std::size_t
+freshCase(DomainId domain, Iova iova, std::uint64_t len)
+{
+    Iotlb tlb;
+    fillFromSeed(tlb, 7);
+    return expectMatchesReference(tlb, domain, iova, len);
+}
+
+} // namespace
+
+TEST(IotlbDifferential, FillReachesBothBanksAndTheTop)
+{
+    Iotlb tlb;
+    fillFromSeed(tlb, 7);
+    std::size_t small = 0, huge = 0, top = 0;
+    for (const EntryKey &k : snapshot(tlb)) {
+        (std::get<2>(k) ? huge : small) += 1;
+        top += std::get<1>(k) > kTop - (16ull << 21);
+    }
+    EXPECT_GT(small, 900u); // of 1,024 slots
+    EXPECT_GT(huge, 100u);  // of 128 slots
+    EXPECT_GT(top, 0u);
+}
+
+/** A cached 4 KiB page of @p domain from the seed-7 fill window. */
+Iova
+cachedSmallPage(DomainId domain)
+{
+    Iotlb tlb;
+    fillFromSeed(tlb, 7);
+    for (const TlbEntry &e : tlb.validEntries(domain))
+        if (!e.huge && e.iovaPage < kWindow + (8ull << 20))
+            return e.iovaPage;
+    ADD_FAILURE() << "no 4 KiB entry cached for domain " << domain;
+    return kWindow;
+}
+
+TEST(IotlbDifferential, LengthsAroundTheFallbackThreshold)
+{
+    for (DomainId d = 0; d < kDiffDomains; ++d) {
+        const Iova mid = cachedSmallPage(d);
+        // len 0 takes the full scan; it removes only entries that
+        // strictly contain an unaligned address.
+        freshCase(d, mid, 0);
+        EXPECT_GT(freshCase(d, mid + 0x800, 0), 0u);
+        EXPECT_GT(freshCase(d, mid + 0x123, 1), 0u);
+        EXPECT_GT(freshCase(d, mid, mem::kPageSize), 0u);
+        EXPECT_GT(freshCase(d, mid + 0x800, mem::kPageSize), 0u);
+        for (const std::uint64_t pages :
+             {kSets4k - 1, kSets4k, kSets4k + 1})
+            EXPECT_GT(freshCase(d, mid, pages * mem::kPageSize), 0u);
+        // The same thresholds for the 2 MiB bank.
+        for (const std::uint64_t pages :
+             {kSets2m - 1, kSets2m, kSets2m + 1})
+            EXPECT_GT(freshCase(d, kWindow, pages * kHugePageSize), 0u);
+        EXPECT_GT(freshCase(d, kWindow, ~std::uint64_t{0} - kWindow), 0u);
+    }
+}
+
+TEST(IotlbDifferential, RangeWrapsTheSetIndex)
+{
+    // Tags 250..269 index sets 250..255 and then 0..13.
+    const Iova base = kWindow + (std::uint64_t(kSets4k) << 12);
+    for (DomainId d = 0; d < kDiffDomains; ++d) {
+        EXPECT_GT(freshCase(d, base + (250ull << 12), 20ull << 12), 0u);
+        EXPECT_GT(freshCase(d, base + (kSets4k - 1ull) * mem::kPageSize,
+                            2 * mem::kPageSize),
+                  0u);
+    }
+}
+
+TEST(IotlbDifferential, SmallRangeInsideA2MiBEntry)
+{
+    // A 4 KiB range in the middle of a cached 2 MiB page must drop it.
+    Iotlb tlb;
+    fillFromSeed(tlb, 7);
+    std::size_t hit = 0;
+    for (const EntryKey &k : snapshot(tlb)) {
+        if (!std::get<2>(k) || std::get<1>(k) >= kTop - kHugePageSize * 8)
+            continue;
+        const DomainId d = std::get<0>(k);
+        const Iova inner = std::get<1>(k) + (300ull << 12) + 0x10;
+        const std::size_t removed =
+            expectMatchesReference(tlb, d, inner, mem::kPageSize);
+        EXPECT_GT(removed, 0u);
+        EXPECT_EQ(tlb.lookup(d, inner), nullptr);
+        if (++hit == 8)
+            break;
+    }
+    EXPECT_EQ(hit, 8u);
+}
+
+TEST(IotlbDifferential, RangesOverflowing2To64)
+{
+    for (DomainId d = 0; d < kDiffDomains; ++d) {
+        freshCase(d, kTop - 0x1fff, 4 * mem::kPageSize);
+        freshCase(d, kTop - 0xfff, mem::kPageSize); // ends at 2^64
+        freshCase(d, kTop, 2);
+        freshCase(d, kTop - kHugePageSize * 2 + 1, kHugePageSize * 4);
+        freshCase(d, kWindow, ~std::uint64_t{0});
+    }
+}
+
+TEST(IotlbDifferential, OtherDomainsLeftUntouched)
+{
+    Iotlb tlb;
+    fillFromSeed(tlb, 11);
+    const auto countOf = [&](DomainId d) {
+        return tlb.validEntries(d).size();
+    };
+    const std::size_t other0 = countOf(0);
+    const std::size_t other2 = countOf(2);
+    // Domain 1's whole fill window, indexed and full-scan widths.
+    EXPECT_GT(expectMatchesReference(tlb, 1, kWindow + 0x5000, 0x3000), 0u);
+    EXPECT_GT(expectMatchesReference(tlb, 1, kWindow, 64 * kHugePageSize),
+              0u);
+    EXPECT_EQ(countOf(0), other0);
+    EXPECT_EQ(countOf(2), other2);
+    for (const TlbEntry &e : tlb.validEntries(1))
+        EXPECT_FALSE(e.iovaPage >= kWindow &&
+                     e.iovaPage < kWindow + 64 * kHugePageSize);
+}
+
+TEST(IotlbDifferential, DroppedInvalidationChangesNothing)
+{
+    Iotlb tlb;
+    fillFromSeed(tlb, 7);
+    const std::vector<EntryKey> before = snapshot(tlb);
+    const std::uint64_t count = tlb.invalidations();
+    tlb.debugDropInvalidations(1);
+    tlb.invalidateRange(0, kWindow, 16 * mem::kPageSize);
+    EXPECT_EQ(snapshot(tlb), before);
+    EXPECT_EQ(tlb.invalidations(), count);
+    // The drop is spent: the next one lands, and matches the reference.
+    EXPECT_GT(expectMatchesReference(tlb, 0, kWindow, 16 * mem::kPageSize),
+              0u);
+}
+
+TEST(IotlbDifferential, SeededRandomRanges)
+{
+    // Random ranges against a state that evolves under refills, with
+    // lengths clustered around both banks' set counts.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Iotlb tlb;
+        fillFromSeed(tlb, seed);
+        std::mt19937_64 rng(seed * 977);
+        for (int i = 0; i < 400; ++i) {
+            if (i % 40 == 39)
+                fillFromSeed(tlb, rng());
+            const DomainId d = DomainId(rng() % kDiffDomains);
+            Iova iova = kWindow + (rng() % (160ull << 20)) - (16ull << 20);
+            if (rng() % 8 == 0)
+                iova = kTop - rng() % (32ull << 20);
+            std::uint64_t len;
+            switch (rng() % 4) {
+              case 0: len = rng() % (2 * mem::kPageSize); break;
+              case 1:
+                len = (kSets4k - 2 + rng() % 4) * mem::kPageSize +
+                    rng() % 2;
+                break;
+              case 2:
+                len = (kSets2m - 2 + rng() % 4) * kHugePageSize +
+                    rng() % 2;
+                break;
+              default: len = rng() % (96ull << 20); break;
+            }
+            expectMatchesReference(tlb, d, iova, len);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -163,8 +163,7 @@ TEST(PhysicalMemory, BuildingMetadataFaultsOnlyTouchedPages)
     // Residency regression: a dense 4 GiB memmap (1M page structs plus
     // the frame table, 48 MB) costs over 12k minor faults to zero.
     // Lazily backed metadata faults only the page structs the buddy
-    // allocator writes: the reserved first block and one head per
-    // max-order block.
+    // allocator writes: the reserved first block.
     rusage before{};
     rusage after{};
     ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
@@ -175,6 +174,24 @@ TEST(PhysicalMemory, BuildingMetadataFaultsOnlyTouchedPages)
         EXPECT_EQ(pm.backedFrames(), 0u);
     }
     EXPECT_LT(after.ru_minflt - before.ru_minflt, 4096);
+}
+
+TEST(PhysicalMemory, BuildingBuddyAllocatorSeedsLazily)
+{
+    // The buddy allocator seeds its max-order blocks lazily, behind a
+    // per-zone watermark, so construction writes only the reserved
+    // first block's page structs -- not one head per max-order block
+    // (1,024 of them, one host page each, in 4 GiB).
+    rusage before{};
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+    {
+        PhysicalMemory pm(4ull << 30);
+        PageAllocator pa(pm, 2);
+        ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+        EXPECT_EQ(pa.freeFrames(), pm.numFrames() - 1024);
+    }
+    EXPECT_LT(after.ru_minflt - before.ru_minflt, 256);
 }
 
 TEST(PhysicalMemory, PaPfnConversions)
@@ -247,6 +264,35 @@ TEST_F(MemFixture, FreeCoalescesBackToMaxOrder)
     const Pfn big = pa.allocPages(PageAllocator::kMaxOrder, 0);
     EXPECT_NE(big, kInvalidPfn);
     pa.freePages(big, PageAllocator::kMaxOrder);
+}
+
+TEST(PageAllocator, LazySeedingKeepsPfnOrder)
+{
+    // Blocks come out lowest pfn first whether they are listed (freed
+    // earlier) or still behind the watermark.
+    PhysicalMemory pm(64 * kMiB);
+    PageAllocator pa(pm, 1);
+    constexpr unsigned kMax = PageAllocator::kMaxOrder;
+    constexpr Pfn kBlock = 1ull << kMax;
+    const Pfn a = pa.allocPages(kMax, 0);
+    const Pfn b = pa.allocPages(kMax, 0);
+    const Pfn c = pa.allocPages(kMax, 0);
+    EXPECT_EQ(a, kBlock); // block 0 is reserved
+    EXPECT_EQ(b, a + kBlock);
+    EXPECT_EQ(c, b + kBlock);
+    pa.freePages(b, kMax);
+    EXPECT_EQ(pa.allocPages(kMax, 0), b);
+    EXPECT_EQ(pa.allocPages(kMax, 0), c + kBlock);
+    // A small allocation splits the lowest free block.
+    pa.freePages(a, kMax);
+    EXPECT_EQ(pa.allocPages(0, 0), a);
+    // Exhaustion: every remaining block, then failure.
+    const std::uint64_t left = pa.freeFrames();
+    std::uint64_t got = 0;
+    while (pa.allocPages(0, 0) != kInvalidPfn)
+        ++got;
+    EXPECT_EQ(got, left);
+    EXPECT_EQ(pa.freeFrames(), 0u);
 }
 
 TEST_F(MemFixture, NumaPreferenceHonored)

@@ -133,6 +133,20 @@ TEST(ReleaseDeath, BuddyDoubleFreeDies)
         "double free");
 }
 
+TEST(ReleaseDeath, BuddyFreeAboveWatermarkDies)
+{
+    // Max-order blocks never yet allocated are free without being
+    // listed; freeing a pfn among them is a double free too.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    mem::PhysicalMemory pm(64 * kMiB);
+    mem::PageAllocator pa(pm, 1);
+    const mem::Pfn p = pa.allocPages(0, 0);
+    ASSERT_EQ(p, 1024u);
+    ASSERT_DEATH(pa.freePages(2048, 0), "never-allocated");
+    ASSERT_DEATH(pa.freePages(pm.numFrames() - 1, 0), "never-allocated");
+    pa.freePages(p, 0);
+}
+
 TEST(ReleaseDeath, BuddyFreeOutOfRangeDies)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
