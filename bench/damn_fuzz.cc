@@ -13,21 +13,22 @@
  *   damn_fuzz --replay tests/corpus/foo.dfz    # regression corpus
  *
  * Exit codes: 0 clean (or every replay reproduced its recorded
- * verdict), 2 usage error, 3 an oracle violation was found, 4 a
- * replay's fresh verdict diverged from the recorded one.
+ * verdict), 1 a cell threw (the first in matrix order is printed),
+ * 2 usage error, 3 an oracle violation was found, 4 a replay's fresh
+ * verdict diverged from the recorded one.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <exception>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fuzz/corpus.hh"
 #include "fuzz/harness.hh"
 #include "fuzz/shrink.hh"
+#include "sim/parallel.hh"
 
 using namespace damn;
 
@@ -290,31 +291,13 @@ main(int argc, char **argv)
             cells.push_back({s, b});
 
     std::vector<CellReport> reports(cells.size());
-    std::size_t next = 0;
-    std::mutex mu;
-    const auto worker = [&] {
-        for (;;) {
-            std::size_t idx;
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                if (next >= cells.size())
-                    return;
-                idx = next++;
-            }
-            reports[idx] =
-                runCell(opt, cells[idx].scheme, cells[idx].backend);
-        }
-    };
-    const unsigned nThreads =
-        unsigned(std::min<std::size_t>(opt.jobs, cells.size()));
-    if (nThreads <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        for (unsigned i = 0; i < nThreads; ++i)
-            pool.emplace_back(worker);
-        for (std::thread &th : pool)
-            th.join();
+    try {
+        sim::parallelFor(cells.size(), opt.jobs, [&](std::size_t i) {
+            reports[i] = runCell(opt, cells[i].scheme, cells[i].backend);
+        });
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "damn_fuzz: a cell failed: %s\n", e.what());
+        return 1;
     }
 
     bool anyViolation = false;

@@ -7,6 +7,8 @@
 
 #include <cassert>
 
+#include "sim/check.hh"
+
 namespace damn::core {
 
 const char *
@@ -152,7 +154,7 @@ DamnAllocator::damnFree(sim::CpuCursor &cpu, mem::Pa addr, AllocCtx actx)
         auto &pm = pageAlloc_.phys();
         const mem::Pfn head = headOf(addr);
         mem::Page &hp = pm.page(head);
-        assert(hp.refcount > 0 && "damn_free of a free buffer");
+        DAMN_CHECK(hp.refcount > 0, "damn_free of a free buffer");
         if (--hp.refcount == 0) {
             // Look up the owning cache through the tail-page metadata
             // (the IOVA encoding carries the same identity, verified by

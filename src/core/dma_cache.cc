@@ -7,6 +7,8 @@
 
 #include <cassert>
 
+#include "sim/check.hh"
+
 namespace damn::core {
 
 namespace {
@@ -306,7 +308,8 @@ mem::Pa
 DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
                 std::uint32_t align, AllocCtx actx)
 {
-    assert(size > 0 && size <= config_.chunkBytes());
+    DAMN_CHECK(size > 0 && size <= config_.chunkBytes(),
+               "DMA cache request size outside (0, chunk size]");
     assert((align & (align - 1)) == 0 && "alignment must be a power of 2");
     cpu.charge(ctx_.cost.damnFastAllocNs);
 

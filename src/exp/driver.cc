@@ -5,13 +5,15 @@
 
 #include "exp/driver.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
+#include <deque>
 #include <exception>
-#include <stdexcept>
 #include <thread>
+#include <utility>
+
+#include "sim/parallel.hh"
 
 namespace damn::exp {
 
@@ -30,14 +32,10 @@ const char kUsage[] =
     "                     iommu-off, deferred, strict, shadow, damn)\n"
     "  --backend=a,b,...  set the IOMMU backend axis (vtd, smmuv3);\n"
     "                     default: each experiment's native axis\n"
-    "  --jobs=N           run (experiment, rep) units on N worker\n"
-    "                     threads (default: one per hardware thread;\n"
-    "                     results are byte-identical for any N)\n"
-    "  --intra-jobs=K     shard *inside* one experiment: its\n"
-    "                     independent configuration cells run on K\n"
-    "                     worker threads (default 1 = serial; results\n"
-    "                     are byte-identical for any K).  Composes\n"
-    "                     with --jobs: total core budget is N x K\n"
+    "  --jobs=N           run (experiment, rep) units and their\n"
+    "                     configuration cells on N worker threads\n"
+    "                     (default: one per hardware thread; results\n"
+    "                     are byte-identical for any N)\n"
     "  --repeat=N         run each experiment N times, varying the seed\n"
     "                     (rows gain a rep=<i> parameter)\n"
     "  --warmup-ms=N      override every experiment's warmup window\n"
@@ -152,12 +150,6 @@ parseArgs(int argc, const char *const *argv, DriverOptions *opts,
                 return false;
             }
             opts->jobs = unsigned(n);
-        } else if (key == "intra-jobs") {
-            if (!parseU64(value, &n) || n == 0) {
-                *err = "--intra-jobs needs a positive integer";
-                return false;
-            }
-            opts->intraJobs = unsigned(n);
         } else if (key == "repeat") {
             if (!parseU64(value, &n) || n == 0) {
                 *err = "--repeat needs a positive integer";
@@ -212,45 +204,6 @@ selectExperiments(const DriverOptions &opts)
     return out;
 }
 
-namespace {
-
-/**
- * Execute one (experiment, rep) unit on a private simulated machine.
- * Thread-confined by construction: every piece of mutable simulation
- * state (Engine, Machine, Stats, Tracer, FaultInjector, RNG streams)
- * lives in Contexts the experiment's run function creates itself; the
- * only cross-thread data are the read-only registry/options and this
- * unit's own result vector.
- */
-std::vector<Run>
-runUnit(const DriverOptions &opts, const Experiment &e, unsigned rep)
-{
-    Collector out;
-    RunCtx ctx{
-        e,
-        work::RunWindow{
-            opts.warmupNs ? opts.warmupNs : e.defaultWindow.warmupNs,
-            opts.measureNs ? opts.measureNs
-                           : e.defaultWindow.measureNs,
-        },
-        opts.schemes,
-        opts.seed + rep,
-        out,
-        !opts.tracePath.empty(),
-        opts.backends,
-        opts.intraJobs,
-    };
-    e.run(ctx);
-    std::vector<Run> runs = out.take();
-    if (opts.repeat > 1)
-        for (Run &run : runs)
-            run.params.insert(run.params.begin(),
-                              {"rep", std::to_string(rep)});
-    return runs;
-}
-
-} // namespace
-
 unsigned
 effectiveJobs(const DriverOptions &opts)
 {
@@ -268,69 +221,102 @@ runExperiments(const DriverOptions &opts)
     const std::vector<const Experiment *> selected =
         selectExperiments(opts);
 
-    // The work queue: every (experiment, rep) pair, experiment-major
-    // in registration order.  Results land in a slot per unit, so the
-    // merge below reads them back in exactly the serial order no
-    // matter which worker finished which unit when.
+    // One (experiment, rep) unit, experiment-major in registration
+    // order.  Thread-confined by construction: every piece of mutable
+    // simulation state (Engine, Machine, Stats, Tracer, FaultInjector,
+    // RNG streams) lives in Contexts the run function or a cell
+    // creates itself; the only shared data are the read-only
+    // registry/options and the unit's own slots below.  The RunCtx
+    // outlives phase 2, because queued cells capture it.
     struct Unit
     {
-        const Experiment *exp;
-        unsigned rep;
+        Unit(const DriverOptions &o, const Experiment &e, unsigned rep)
+            : ctx{e,
+                  work::RunWindow{
+                      o.warmupNs ? o.warmupNs : e.defaultWindow.warmupNs,
+                      o.measureNs ? o.measureNs
+                                  : e.defaultWindow.measureNs,
+                  },
+                  o.schemes,
+                  o.seed + rep,
+                  out,
+                  !o.tracePath.empty(),
+                  o.backends,
+                  {}}
+        {
+        }
+
+        Collector out;
+        RunCtx ctx;
+        std::exception_ptr error;
+        std::vector<Collector> cellOut;
+        std::vector<std::exception_ptr> cellErrors;
     };
-    std::vector<Unit> units;
-    units.reserve(selected.size() * opts.repeat);
+    std::deque<Unit> units;
     for (const Experiment *e : selected)
         for (unsigned rep = 0; rep < opts.repeat; ++rep)
-            units.push_back({e, rep});
+            units.emplace_back(opts, *e, rep);
 
-    std::vector<std::vector<Run>> results(units.size());
-    const std::size_t jobs =
-        std::min<std::size_t>(effectiveJobs(opts), units.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < units.size(); ++i)
-            results[i] = runUnit(opts, *units[i].exp, units[i].rep);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(units.size());
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w) {
-            pool.emplace_back([&] {
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= units.size())
-                        return;
-                    try {
-                        results[i] = runUnit(opts, *units[i].exp,
-                                             units[i].rep);
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                }
-            });
+    // Phase 1: the run functions, which write runs to ctx.out and
+    // queue cells.  Phase 2: every queued cell of every unit that ran
+    // cleanly, in one flat list.  Results land in a slot per unit and
+    // per cell, so the merge reads them back in exactly the serial
+    // order no matter which worker finished what when.
+    const unsigned jobs = effectiveJobs(opts);
+    sim::parallelFor(units.size(), jobs, [&](std::size_t i) {
+        Unit &u = units[i];
+        try {
+            u.ctx.exp.run(u.ctx);
+        } catch (...) {
+            u.error = std::current_exception();
         }
-        for (std::thread &t : pool)
-            t.join();
-        // Surface the first failure in unit order (deterministic even
-        // when several units threw).
-        for (std::exception_ptr &ep : errors)
+    });
+    std::vector<std::pair<Unit *, std::size_t>> cells;
+    for (Unit &u : units) {
+        if (u.error)
+            continue;
+        u.cellOut.resize(u.ctx.cells.size());
+        u.cellErrors.resize(u.ctx.cells.size());
+        for (std::size_t c = 0; c < u.ctx.cells.size(); ++c)
+            cells.emplace_back(&u, c);
+    }
+    sim::parallelFor(cells.size(), jobs, [&](std::size_t i) {
+        auto [u, c] = cells[i];
+        try {
+            u->ctx.cells[c].fn(u->cellOut[c]);
+        } catch (...) {
+            u->cellErrors[c] = std::current_exception();
+        }
+    });
+
+    // Surface the first failure in unit order (deterministic even
+    // when several units or cells threw).
+    for (const Unit &u : units) {
+        if (u.error)
+            std::rethrow_exception(u.error);
+        for (const std::exception_ptr &ep : u.cellErrors)
             if (ep)
                 std::rethrow_exception(ep);
     }
 
     report.experiments.reserve(selected.size());
-    std::size_t unit = 0;
+    auto unit = units.begin();
     for (const Experiment *e : selected) {
         ExperimentResult res;
         res.exp = e;
-        std::size_t total = 0;
-        for (unsigned rep = 0; rep < opts.repeat; ++rep)
-            total += results[unit + rep].size();
-        res.runs.reserve(total);
-        for (unsigned rep = 0; rep < opts.repeat; ++rep, ++unit)
-            for (Run &run : results[unit])
-                res.runs.push_back(std::move(run));
+        for (unsigned rep = 0; rep < opts.repeat; ++rep, ++unit) {
+            const auto take = [&](Collector &c) {
+                for (Run &run : c.take()) {
+                    if (opts.repeat > 1)
+                        run.params.insert(run.params.begin(),
+                                          {"rep", std::to_string(rep)});
+                    res.runs.push_back(std::move(run));
+                }
+            };
+            take(unit->out);
+            for (Collector &c : unit->cellOut)
+                take(c);
+        }
         report.experiments.push_back(std::move(res));
     }
     return report;

@@ -33,14 +33,10 @@ struct DriverOptions
     /** The --backend selection; empty keeps each experiment's default
      *  backend axis (vtd for everything but backend_matrix). */
     std::vector<iommu::BackendKind> backends;
-    /** Worker threads for (experiment, rep) units; 0 = one per
-     *  hardware thread.  Output is byte-identical for every value. */
+    /** Worker threads for (experiment, rep) units and their queued
+     *  cells; 0 = one per hardware thread.  Output is byte-identical
+     *  for every value. */
     unsigned jobs = 0;
-    /** Worker threads *inside* one experiment invocation
-     *  (RunCtx::runCells / sim::ShardedEngine); 1 = serial.  The
-     *  total core budget is jobs x intra-jobs; output is
-     *  byte-identical for every value. */
-    unsigned intraJobs = 1;
     unsigned repeat = 1;
     sim::TimeNs warmupNs = 0;   //!< 0 = per-experiment default
     sim::TimeNs measureNs = 0;  //!< 0 = per-experiment default
@@ -78,10 +74,14 @@ unsigned effectiveJobs(const DriverOptions &opts);
 /**
  * Run every selected experiment (repeat times each).
  *
- * Units of work are (experiment, rep) pairs; with jobs > 1 they
- * execute on a worker pool, each on a private deterministic simulated
- * machine, and merge back in registration order — the Report (and
- * everything serialized from it) is byte-identical to a serial run.
+ * Two phases on one pool of effectiveJobs() workers: first every
+ * (experiment, rep) unit's run function, then every cell those units
+ * queued (RunCtx::addCells), flattened into one list.  Each unit and
+ * cell builds private deterministic simulated machines; results merge
+ * back in registration order, a unit's own runs before its cells' in
+ * cell order — the Report (and everything serialized from it) is
+ * byte-identical to a serial run.  On failure the first error in unit
+ * order is rethrown: a unit's own, else its first failing cell's.
  */
 Report runExperiments(const DriverOptions &opts);
 

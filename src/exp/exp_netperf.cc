@@ -176,7 +176,7 @@ DAMN_EXPERIMENT(netperf_stream)
                                       50 * sim::kNsPerMs};
     e.run = [](RunCtx &ctx) {
         // Every (backend, scheme) point is an independent machine:
-        // route them through the intra-run cell pool (--intra-jobs).
+        // queue them as cells for the driver's --jobs pool.
         std::vector<Cell> cells;
         for (const iommu::BackendKind bk :
              ctx.backendsOr({iommu::BackendKind::Vtd})) {
@@ -197,7 +197,7 @@ DAMN_EXPERIMENT(netperf_stream)
                 }});
             }
         }
-        ctx.runCells(std::move(cells));
+        ctx.addCells(std::move(cells));
     };
     return e;
 }

@@ -215,8 +215,8 @@ DAMN_EXPERIMENT(pressure_storm)
         // Native backend axis is the baseline VT-d; --backend widens
         // the sweep (e.g. --backend=all exercises the SMMUv3 cmdq
         // stall path under the same exhaustion storms).  Every storm
-        // point is a private machine: route them through the
-        // intra-run cell pool (--intra-jobs).
+        // point is a private machine: queue them as cells for the
+        // driver's --jobs pool.
         std::vector<Cell> cells;
         for (const iommu::BackendKind bk :
              ctx.backendsOr({iommu::BackendKind::Vtd}))
@@ -231,7 +231,7 @@ DAMN_EXPERIMENT(pressure_storm)
                              stormOne(ctx, col, k, bk, spec);
                          }});
                 }
-        ctx.runCells(std::move(cells));
+        ctx.addCells(std::move(cells));
     };
     return e;
 }

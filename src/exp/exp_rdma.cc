@@ -34,8 +34,7 @@ DAMN_EXPERIMENT(rdma_pagefault)
         constexpr std::uint64_t kFootprints[] = {
             1ull << 20, 4ull << 20, 16ull << 20};
         // Every (backend, footprint, scheme) point builds a private
-        // machine: route them through the intra-run cell pool
-        // (--intra-jobs).
+        // machine: queue them as cells for the driver's --jobs pool.
         std::vector<Cell> cells;
         for (const iommu::BackendKind bk :
              ctx.backendsOr({iommu::BackendKind::Vtd,
@@ -80,7 +79,7 @@ DAMN_EXPERIMENT(rdma_pagefault)
                 }
             }
         }
-        ctx.runCells(std::move(cells));
+        ctx.addCells(std::move(cells));
     };
     return e;
 }

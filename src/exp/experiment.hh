@@ -124,16 +124,6 @@ class Collector
     const std::vector<Run> &runs() const { return runs_; }
     std::vector<Run> take() { return std::move(runs_); }
 
-    /** Splice another collector's runs onto this one, preserving
-     *  their order.  RunCtx::runCells merges the per-cell collectors
-     *  back into the experiment's collector with this. */
-    void
-    append(std::vector<Run> runs)
-    {
-        for (Run &r : runs)
-            runs_.push_back(std::move(r));
-    }
-
   private:
     std::vector<Run> runs_;
 };
@@ -141,10 +131,12 @@ class Collector
 struct Experiment;
 
 /**
- * One independent configuration point of an experiment, packaged for
- * intra-run parallel execution (RunCtx::runCells).  The function gets
- * a private Collector; each cell must be self-contained — it builds
- * its own System(s) and shares no mutable state with other cells.
+ * One independent configuration point of an experiment, queued with
+ * RunCtx::addCells and run later on the driver's --jobs pool.  The
+ * function gets a private Collector; each cell must be self-contained
+ * — it builds its own System(s) and shares no mutable state with
+ * other cells.  It may read the RunCtx (the driver keeps it alive
+ * until every cell has run) but nothing else of the run function's.
  */
 struct Cell
 {
@@ -227,24 +219,23 @@ struct RunCtx
             col.param("backend", iommu::backendKindName(bk));
     }
 
-    /**
-     * Intra-run worker budget (--intra-jobs): how many threads one
-     * experiment invocation may use to run its independent cells in
-     * parallel.  1 = serial.  Composes with the driver's --jobs pool:
-     * the core budget is jobs x intra-jobs.
-     */
-    unsigned intraJobs = 1;
+    /** Cells queued by addCells(), in cell order. */
+    std::vector<Cell> cells;
 
     /**
-     * Run independent configuration cells of this experiment, spread
-     * over @ref intraJobs workers via `sim::ShardedEngine` task
-     * shards, then merge their collectors into ctx.out **in cell
-     * order**.  Output is byte-identical to running the cells in a
-     * plain loop at any intraJobs value; a cell that throws aborts
-     * with that cell's exception after the pool drains (first failing
-     * cell in cell order wins, matching the serial loop).
+     * Queue independent configuration cells of this experiment.  The
+     * driver runs them on its --jobs pool after every experiment's run
+     * function has returned, and merges their collectors after the
+     * runs written to ctx.out directly, in cell order: output is
+     * byte-identical to running the cells in a plain loop as the run
+     * function's last step, at any --jobs value.
      */
-    void runCells(std::vector<Cell> cells);
+    void
+    addCells(std::vector<Cell> more)
+    {
+        for (Cell &c : more)
+            cells.push_back(std::move(c));
+    }
 };
 
 /** One registered experiment. */

@@ -126,30 +126,36 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
         return;
     }
     ++invalidations_;
-    const Iova lo = iova;
-    const Iova hi = iova + len;
+    // Overlap with [iova, iova + len) in inclusive last addresses, so
+    // nothing wraps past 2^64: an entry's last byte is at most 2^64 - 1,
+    // and an entry at or above iova overlaps when its offset from iova
+    // is below len.  The top page therefore invalidates like any other,
+    // and a range running past 2^64 stops at the top.  A zero-length
+    // range covers only entries that strictly contain iova.
     const auto invalidate = [&](TlbEntry &e) {
         if (!e.valid || e.domain != domain)
             return;
         const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
-        if (e.iovaPage < hi && e.iovaPage + sz > lo)
+        const Iova entryLast = e.iovaPage + (sz - 1);
+        if (entryLast >= iova &&
+            (e.iovaPage < iova || e.iovaPage - iova < len))
             e.valid = false;
     };
     // Page-selective invalidation (VT-d PSI with an address mask, the
-    // SMMUv3 range TLBI): an entry overlapping [lo, hi) has a page tag
-    // in [lo >> shift, (hi - 1) >> shift], so only the sets those tags
-    // index can hold one.  The predicate is the same as the full scan's,
-    // so the same entries go.  An empty range (hi == lo), one that
-    // wraps past 2^64 (hi < lo), or one with at least as many tags as
-    // the bank has sets scans the whole bank.
-    const bool indexed = hi > lo;
+    // SMMUv3 range TLBI): an entry overlapping [iova, last] has a page
+    // tag in [iova >> shift, last >> shift], so only the sets those
+    // tags index can hold one.  The predicate is the same as the full
+    // scan's, so the same entries go.  An empty range, or one with at
+    // least as many tags as the bank has sets, scans the whole bank.
+    const Iova last =
+        len - 1 > ~Iova{0} - iova ? ~Iova{0} : iova + (len - 1);
     for (const bool huge : {false, true}) {
         auto &bank = huge ? bank2m_ : bank4k_;
         const unsigned sets = huge ? sets2m_ : sets4k_;
         const unsigned shift = huge ? 21 : 12;
-        const Iova first = lo >> shift;
-        const Iova tags = indexed ? ((hi - 1) >> shift) - first + 1 : 0;
-        if (!indexed || tags >= sets) {
+        const Iova first = iova >> shift;
+        const Iova tags = (last >> shift) - first + 1;
+        if (len == 0 || tags >= sets) {
             for (TlbEntry &e : bank)
                 invalidate(e);
             continue;

@@ -7,6 +7,8 @@
 
 #include <cassert>
 
+#include "sim/check.hh"
+
 namespace damn::mem {
 
 unsigned
@@ -65,7 +67,7 @@ KmallocHeap::kfree(Pa addr)
     if (addr == 0)
         return;
     Page &pg = pa_.phys().pageOf(addr);
-    assert(pg.test(PG_slab) && "kfree of a non-slab address");
+    DAMN_CHECK(pg.test(PG_slab), "kfree of a non-slab address");
     const unsigned cls = pg.slabClass;
     assert(pageOffset(addr) % kClasses[cls] == 0 && "misaligned kfree");
     slabs_[cls].freeList.push_back(addr);

@@ -163,19 +163,6 @@ ShardedEngine::runShardWindow(unsigned s, const Plan &plan)
 }
 
 void
-ShardedEngine::runTask(unsigned t)
-{
-    Task &task = tasks_[t];
-    try {
-        task.fn();
-    } catch (...) {
-        // Remaining tasks still run (mirroring the driver's unit
-        // pool); the first failure in task order is rethrown after.
-        task.error = std::current_exception();
-    }
-}
-
-void
 ShardedEngine::armShardWatchdogs()
 {
     for (unsigned s = 0; s < shards_.size(); ++s) {
@@ -199,45 +186,12 @@ ShardedEngine::recordStall(unsigned s, const StallInfo &info)
 }
 
 void
-ShardedEngine::runSerial(TimeNs until)
+ShardedEngine::runRounds(TimeNs until, unsigned workers)
 {
-    for (std::size_t t = 0; t < tasks_.size(); ++t)
-        runTask(unsigned(t));
-    if (shards_.empty())
-        return;
-    for (;;) {
-        if (abort_.load(std::memory_order_acquire))
-            return;
-        deliverOutboxes();
-        computePlan(until, &plan_);
-        if (plan_.done)
-            return;
-        ++stats_.rounds;
-        if (plan_.lockstep)
-            ++stats_.lockstepRounds;
-        for (unsigned s = 0; s < shards_.size(); ++s)
-            runShardWindow(s, plan_);
-    }
-}
-
-void
-ShardedEngine::runParallel(TimeNs until, unsigned workers)
-{
-    taskNext_.store(0, std::memory_order_relaxed);
     shardNext_.store(shards_.size(), std::memory_order_relaxed);
     SpinBarrier barrier(workers);
 
     auto workerBody = [&](unsigned wid) {
-        for (;;) {
-            const std::size_t t =
-                taskNext_.fetch_add(1, std::memory_order_acq_rel);
-            if (t >= tasks_.size())
-                break;
-            runTask(unsigned(t));
-        }
-        barrier.wait();
-        if (shards_.empty())
-            return;
         for (;;) {
             if (wid == 0) {
                 // Coordinator phase: deliver last round's messages and
@@ -283,21 +237,9 @@ ShardedEngine::runParallel(TimeNs until, unsigned workers)
 void
 ShardedEngine::rethrowFirstError()
 {
-    std::exception_ptr first;
-    for (const Task &t : tasks_)
-        if (t.error) {
-            first = t.error;
-            break;
-        }
-    if (!first)
-        for (const Shard &sh : shards_)
-            if (sh.error) {
-                first = sh.error;
-                break;
-            }
-    tasks_.clear();
-    if (first)
-        std::rethrow_exception(first);
+    for (const Shard &sh : shards_)
+        if (sh.error)
+            std::rethrow_exception(sh.error);
 }
 
 std::uint64_t
@@ -310,21 +252,13 @@ ShardedEngine::run(TimeNs until, unsigned workers)
         sh.dispatched = 0;
         sh.error = nullptr;
     }
-    for (Task &t : tasks_)
-        t.error = nullptr;
     if (wdArmed_)
         armShardWatchdogs();
 
-    const std::size_t widest = std::max(
-        std::max(tasks_.size(), shards_.size()), std::size_t{1});
     const unsigned w = unsigned(std::min<std::size_t>(
-        std::max(1u, workers), widest));
-    if (w <= 1)
-        runSerial(until);
-    else
-        runParallel(until, w);
+        std::max(1u, workers), std::max<std::size_t>(shards_.size(), 1)));
+    runRounds(until, w);
 
-    stats_.tasksRun = tasks_.size();
     for (const Shard &sh : shards_)
         stats_.dispatched += sh.dispatched;
     std::stable_sort(stallLog_.begin(), stallLog_.end(),

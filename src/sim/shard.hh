@@ -3,25 +3,20 @@
  * Conservative-lookahead sharded simulation: many `sim::Engine`
  * instances advancing in parallel, byte-identical to serial.
  *
- * A ShardedEngine coordinates two kinds of work units:
- *
- *  - **Shards** bind an existing Engine (typically one `sim::Context`
- *    / `net::System` partition: a NUMA node, a device, or a client
- *    machine) and are connected by timestamped **channels**.  A
- *    channel carries callbacks from its source shard to its
- *    destination shard with a fixed minimum latency — the *lookahead*,
- *    derived from the modeled link (PCIe hop, NIC wire, switch hop;
- *    see sim/cost_model.hh).  Execution proceeds in conservative
- *    windows (classic Chandy–Misra–Bryant null-message reasoning, in
- *    its barrier-synchronized LBTS form): each round computes, per
- *    shard, a lower bound on the timestamp of any message that could
- *    still arrive, lets every shard dispatch freely *below* that
- *    bound, then delivers the messages produced by the round.
- *
- *  - **Tasks** are fully independent closures (no channels, infinite
- *    lookahead): the degenerate-but-common partition where one run
- *    sweeps isolated configuration cells.  They are claimed atomically
- *    and any number can execute concurrently.
+ * A ShardedEngine coordinates **shards**: each binds an existing
+ * Engine (typically one `sim::Context` / `net::System` partition: a
+ * NUMA node, a device, or a client machine), and shards are connected
+ * by timestamped **channels**.  A channel carries callbacks from its
+ * source shard to its destination shard with a fixed minimum latency —
+ * the *lookahead*, derived from the modeled link (PCIe hop, NIC wire,
+ * switch hop; see sim/cost_model.hh).  Execution proceeds in
+ * conservative windows (classic Chandy–Misra–Bryant null-message
+ * reasoning, in its barrier-synchronized LBTS form): each round
+ * computes, per shard, a lower bound on the timestamp of any message
+ * that could still arrive, lets every shard dispatch freely *below*
+ * that bound, then delivers the messages produced by the round.
+ * (Fully independent work — isolated configuration cells — needs no
+ * engine coordination and runs on sim::parallelFor instead.)
  *
  * Determinism contract (the point of the design): for a fixed input,
  * the outcome — every shard engine's dispatch order, every stat,
@@ -33,9 +28,7 @@
  *     outbox during a round and are delivered *between* rounds in a
  *     fixed global order: channel-creation order, then per-channel
  *     send order — so destination-engine sequence numbers (the
- *     same-timestamp FIFO tie-break) never depend on scheduling;
- *  3. tasks execute with no shared state and their results are
- *     consumed by the caller in task order.
+ *     same-timestamp FIFO tie-break) never depend on scheduling.
  *
  * Zero-lookahead edges are legal and degrade gracefully: rounds
  * become lock-steps over one timestamp, and a same-timestamp message
@@ -81,7 +74,6 @@ struct ShardRunStats
     std::uint64_t lockstepRounds = 0; //!< rounds pinned to one timestamp
     std::uint64_t messages = 0;       //!< cross-shard callbacks delivered
     std::uint64_t dispatched = 0;     //!< events dispatched across shards
-    std::uint64_t tasksRun = 0;       //!< isolated tasks executed
 };
 
 /**
@@ -91,7 +83,6 @@ struct ShardRunStats
  *  - shard callbacks may touch only their own shard's state, and may
  *    call send()/promiseNoSendBefore() only on channels whose source
  *    is the executing shard;
- *  - tasks may touch only their own captured state;
  *  - the watchdog progress probe for shard `s` is invoked on the
  *    worker currently running `s` and must read only `s`-local state.
  * `verify-tsan` audits these rules for everything routed through the
@@ -115,19 +106,6 @@ class ShardedEngine
     {
         shards_.push_back(Shard{std::move(name), &eng, 0, {}});
         return unsigned(shards_.size() - 1);
-    }
-
-    /**
-     * Register an isolated work unit: no engine, no channels, runs
-     * exactly once during the next run()/runAll() (concurrently with
-     * other tasks when workers allow).  Exceptions propagate: after
-     * all tasks finish, the first failure in task order is rethrown.
-     */
-    unsigned
-    addTask(std::string name, std::function<void()> fn)
-    {
-        tasks_.push_back(Task{std::move(name), std::move(fn), nullptr});
-        return unsigned(tasks_.size() - 1);
     }
 
     /**
@@ -182,11 +160,11 @@ class ShardedEngine
     void promiseNoSendBefore(unsigned channel, TimeNs when);
 
     /**
-     * Run tasks, then advance every shard to @p until (events at
-     * exactly @p until still fire) using @p workers threads.
-     * workers == 1 executes the identical window/delivery algorithm
-     * inline — the parallel path is byte-identical to it by
-     * construction.  @return events dispatched across all shards.
+     * Advance every shard to @p until (events at exactly @p until
+     * still fire) using @p workers threads, the caller's among them.
+     * Every worker count runs the same round algorithm (workers == 1
+     * starts no thread), so the outcome is byte-identical at any count
+     * by construction.  @return events dispatched across all shards.
      */
     std::uint64_t run(TimeNs until, unsigned workers);
 
@@ -254,13 +232,6 @@ class ShardedEngine
         std::exception_ptr error;
     };
 
-    struct Task
-    {
-        std::string name;
-        std::function<void()> fn;
-        std::exception_ptr error;
-    };
-
     /** One round's marching orders (computed by the coordinator). */
     struct Plan
     {
@@ -273,23 +244,19 @@ class ShardedEngine
     void deliverOutboxes();
     void computePlan(TimeNs until, Plan *plan);
     void runShardWindow(unsigned s, const Plan &plan);
-    void runTask(unsigned t);
     void armShardWatchdogs();
     void recordStall(unsigned s, const StallInfo &info);
-    void runSerial(TimeNs until);
-    void runParallel(TimeNs until, unsigned workers);
+    void runRounds(TimeNs until, unsigned workers);
     void rethrowFirstError();
 
     std::vector<Shard> shards_;
     std::vector<Channel> channels_;
-    std::vector<Task> tasks_;
     TimeNs minLookahead_ = kTimeNever;
 
     // Per-run coordination state.
     Plan plan_;
     std::vector<TimeNs> activity_;  //!< EA relaxation scratch
     std::atomic<bool> abort_{false};
-    std::atomic<std::size_t> taskNext_{0};
     std::atomic<std::size_t> shardNext_{0};
     ShardRunStats stats_;
 

@@ -7,33 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "net/stream.hh"
+#include "tests/damn_sys.hh"
 #include "workloads/memcached.hh"
 
 using namespace damn;
+using test::DamnSys;
 
 namespace {
 
 constexpr std::uint64_t kMiB = 1ull << 20;
-
-struct DamnSys
-{
-    DamnSys()
-    {
-        net::SystemParams p;
-        p.scheme = dma::SchemeKind::Damn;
-        sys = std::make_unique<net::System>(p);
-        nic = std::make_unique<net::NicDevice>(*sys, "mlx5_0");
-    }
-
-    sim::CpuCursor
-    cpu(sim::CoreId c = 0)
-    {
-        return sim::CpuCursor(sys->ctx.machine.core(c), sys->ctx.now());
-    }
-
-    std::unique_ptr<net::System> sys;
-    std::unique_ptr<net::NicDevice> nic;
-};
 
 } // namespace
 

@@ -268,8 +268,11 @@ snapshot(const Iotlb &tlb)
     return out;
 }
 
-/** The full-scan predicate invalidateRange must reproduce exactly,
- *  64-bit wrap-around included. */
+/** The full-scan predicate invalidateRange must reproduce exactly:
+ *  overlap of [iova, iova + len) with the entry, compared through
+ *  inclusive last addresses so that neither an entry on the top page
+ *  nor a range running past 2^64 wraps to 0 (such a range stops at the
+ *  top; a zero-length one covers entries strictly containing iova). */
 bool
 referenceCovers(const EntryKey &k, DomainId domain, Iova iova,
                 std::uint64_t len)
@@ -277,8 +280,13 @@ referenceCovers(const EntryKey &k, DomainId domain, Iova iova,
     const Iova page = std::get<1>(k);
     const std::uint64_t sz =
         std::get<2>(k) ? kHugePageSize : mem::kPageSize;
-    return std::get<0>(k) == domain && page < iova + len &&
-        page + sz > iova;
+    const Iova pageLast = page + (sz - 1);
+    if (len == 0)
+        return std::get<0>(k) == domain && page < iova && pageLast >= iova;
+    const Iova rangeLast =
+        len - 1 > kTop - iova ? kTop : iova + (len - 1);
+    return std::get<0>(k) == domain && page <= rangeLast &&
+        pageLast >= iova;
 }
 
 /** Both banks filled from @p seed across kDiffDomains domains: 4 KiB
@@ -427,12 +435,36 @@ TEST(IotlbDifferential, SmallRangeInsideA2MiBEntry)
 
 TEST(IotlbDifferential, RangesOverflowing2To64)
 {
+    std::size_t topRemoved = 0;
     for (DomainId d = 0; d < kDiffDomains; ++d) {
-        freshCase(d, kTop - 0x1fff, 4 * mem::kPageSize);
-        freshCase(d, kTop - 0xfff, mem::kPageSize); // ends at 2^64
+        topRemoved += freshCase(d, kTop - 0x1fff, 4 * mem::kPageSize);
+        // Ends exactly at 2^64.
+        topRemoved += freshCase(d, kTop - 0xfff, mem::kPageSize);
         freshCase(d, kTop, 2);
-        freshCase(d, kTop - kHugePageSize * 2 + 1, kHugePageSize * 4);
-        freshCase(d, kWindow, ~std::uint64_t{0});
+        topRemoved +=
+            freshCase(d, kTop - kHugePageSize * 2 + 1, kHugePageSize * 4);
+        EXPECT_GT(freshCase(d, kWindow, ~std::uint64_t{0}), 0u);
+    }
+    // The fill caches pages just below 2^64; ranges reaching the top
+    // must drop them.
+    EXPECT_GT(topRemoved, 0u);
+}
+
+TEST(IotlbDifferential, TopPageInvalidates)
+{
+    // The last 4 KiB and 2 MiB pages below 2^64 end exactly at 2^64.
+    for (const bool huge : {false, true}) {
+        const std::uint64_t sz = huge ? kHugePageSize : mem::kPageSize;
+        const Iova top = kTop - (sz - 1);
+        Iotlb tlb;
+        tlb.insert(1, top, walkOf(0x40000000, PermRW, huge));
+        ASSERT_NE(tlb.lookup(1, top), nullptr) << "huge=" << huge;
+        tlb.invalidateRange(1, top, sz);
+        EXPECT_EQ(tlb.lookup(1, top), nullptr) << "huge=" << huge;
+        // A range starting below and running past 2^64 reaches it too.
+        tlb.insert(1, top, walkOf(0x40000000, PermRW, huge));
+        tlb.invalidateRange(1, top - sz, 4 * sz);
+        EXPECT_EQ(tlb.lookup(1, kTop), nullptr) << "huge=" << huge;
     }
 }
 

@@ -18,9 +18,12 @@
 
 #include "dma/schemes.hh"
 #include "iommu/iova_alloc.hh"
+#include "mem/kmalloc.hh"
 #include "net/system.hh"
+#include "tests/damn_sys.hh"
 
 using namespace damn;
+using test::DamnSys;
 
 namespace {
 constexpr std::uint64_t kMiB = 1ull << 20;
@@ -156,6 +159,51 @@ TEST(ReleaseDeath, BuddyFreeOutOfRangeDies)
                  "outside physical memory");
     ASSERT_DEATH(pa.freePages(1024, mem::PageAllocator::kMaxOrder + 1),
                  "order above kMaxOrder");
+}
+
+TEST(ReleaseDeath, DoubleDamnFreeDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_DEATH(
+        {
+            DamnSys d;
+            auto c = d.cpu();
+            // Whole-chunk buffer; a second alloc retires the chunk's
+            // bump bias so the first free drops its refcount to zero.
+            const mem::Pa a = d.sys->damn->damnAlloc(
+                c, d.nic.get(), core::Rights::Write, 65536);
+            d.sys->damn->damnAlloc(c, d.nic.get(), core::Rights::Write,
+                                   65536);
+            d.sys->damn->damnFree(c, a);
+            d.sys->damn->damnFree(c, a); // double free of a dead chunk
+        },
+        "damn_free of a free buffer");
+}
+
+TEST(ReleaseDeath, OversizeDamnAllocDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_DEATH(
+        {
+            DamnSys d;
+            auto c = d.cpu();
+            d.sys->damn->damnAlloc(c, d.nic.get(), core::Rights::Write,
+                                   65537);
+        },
+        "request size outside");
+}
+
+TEST(ReleaseDeath, KfreeOfNonSlabDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ASSERT_DEATH(
+        {
+            mem::PhysicalMemory pm(64 * kMiB);
+            mem::PageAllocator pa(pm, 1);
+            mem::KmallocHeap heap(pa);
+            heap.kfree(mem::pfnToPa(pa.allocPages(0, 0)));
+        },
+        "kfree of a non-slab address");
 }
 
 TEST(ReleaseDeath, UnalignedPhysicalMemoryDies)

@@ -4,25 +4,21 @@
  * conservative-lookahead parallel engine (sim/shard.hh) must be
  * byte-identical to serial at any worker count, handle zero-lookahead
  * edges in serial FIFO order, honor sender promises, report per-shard
- * stalls, and carry the whole damn_bench --intra-jobs path end to end.
+ * stalls, and run the sharded netperf workload to identical digests.
  *
  * Built into the verify-tsan tree as well: under -fsanitize=thread the
  * multi-worker cases double as a data-race audit of the round
- * protocol, the channel outboxes, and everything the intra-run cell
- * pool executes.
+ * protocol and the channel outboxes.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exp/driver.hh"
 #include "sim/shard.hh"
 #include "workloads/sharded.hh"
 
@@ -231,36 +227,6 @@ TEST(Shard, WatchdogReportsStallingShardByName)
 }
 
 // ---------------------------------------------------------------------
-// Task shards: isolated cells, error propagation
-// ---------------------------------------------------------------------
-
-TEST(Shard, TasksAllRunAndFirstErrorInTaskOrderWins)
-{
-    for (const unsigned workers : {1u, 4u}) {
-        sim::ShardedEngine se;
-        std::atomic<unsigned> ran{0};
-        se.addTask("ok0", [&] { ++ran; });
-        se.addTask("boom1", [&]() -> void {
-            ++ran;
-            throw std::runtime_error("first failure");
-        });
-        se.addTask("boom2", [&]() -> void {
-            ++ran;
-            throw std::logic_error("second failure");
-        });
-        se.addTask("ok3", [&] { ++ran; });
-        try {
-            se.runAll(workers);
-            FAIL() << "expected a throw, workers=" << workers;
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "first failure");
-        }
-        // A failing task must not stop its siblings.
-        EXPECT_EQ(ran.load(), 4u) << "workers=" << workers;
-    }
-}
-
-// ---------------------------------------------------------------------
 // Sharded netperf: digests identical at any worker count
 // ---------------------------------------------------------------------
 
@@ -289,88 +255,6 @@ TEST(Shard, ShardedNetperfDigestIdenticalAcrossWorkers)
         EXPECT_EQ(r.messages, serial.messages)
             << "workers=" << workers;
     }
-}
-
-// ---------------------------------------------------------------------
-// The --intra-jobs driver path, end to end in-process
-// ---------------------------------------------------------------------
-
-exp::DriverOptions
-matrixOpts(const std::string &only, unsigned intraJobs)
-{
-    exp::DriverOptions o;
-    o.only = only;
-    o.warmupNs = 1 * sim::kNsPerMs;
-    o.measureNs = 2 * sim::kNsPerMs;
-    o.jobs = 1;
-    o.intraJobs = intraJobs;
-    o.schemes = {dma::SchemeKind::IommuOff, dma::SchemeKind::Strict,
-                 dma::SchemeKind::Deferred, dma::SchemeKind::Damn};
-    o.backends = {iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3};
-    // Non-empty trace path => trace-event recording, so the byte
-    // comparison covers the Chrome exporter too.
-    o.tracePath = "unused-in-process";
-    return o;
-}
-
-struct Serialized
-{
-    std::string json;
-    std::string trace;
-};
-
-Serialized
-serialize(const exp::DriverOptions &o)
-{
-    const exp::Report r = exp::runExperiments(o);
-    return {exp::reportJson(r).dump(), exp::chromeTraceForReport(r)};
-}
-
-TEST(Shard, IntraJobsMatrixByteIdenticalToSerial)
-{
-    // 4 schemes x both backends through the cell-routed experiment,
-    // at every --intra-jobs point of the acceptance matrix.
-    const Serialized serial = serialize(matrixOpts("netperf_stream", 1));
-    EXPECT_GT(serial.trace.size(), 1000u)
-        << "trace suspiciously small; comparison would be vacuous";
-    for (const unsigned k : {2u, 4u, 8u}) {
-        const Serialized sharded =
-            serialize(matrixOpts("netperf_stream", k));
-        EXPECT_EQ(serial.json, sharded.json) << "intra-jobs=" << k;
-        EXPECT_EQ(serial.trace, sharded.trace) << "intra-jobs=" << k;
-    }
-}
-
-TEST(Shard, IntraJobsComposesWithJobs)
-{
-    exp::DriverOptions serial = matrixOpts("rdma_pagefault", 1);
-    exp::DriverOptions both = matrixOpts("rdma_pagefault", 4);
-    both.jobs = 2;
-    both.repeat = serial.repeat = 2;
-    const Serialized a = serialize(serial);
-    const Serialized b = serialize(both);
-    EXPECT_EQ(a.json, b.json);
-    EXPECT_EQ(a.trace, b.trace);
-}
-
-TEST(Shard, IntraJobsFlagParses)
-{
-    exp::DriverOptions o;
-    std::string err;
-    const char *argv[] = {"damn_bench", "--intra-jobs=4"};
-    ASSERT_TRUE(exp::parseArgs(2, argv, &o, &err)) << err;
-    EXPECT_EQ(o.intraJobs, 4u);
-
-    exp::DriverOptions d;
-    const char *argv1[] = {"damn_bench"};
-    ASSERT_TRUE(exp::parseArgs(1, argv1, &d, &err)) << err;
-    EXPECT_EQ(d.intraJobs, 1u) << "default must stay serial";
-
-    exp::DriverOptions bad;
-    const char *argv0[] = {"damn_bench", "--intra-jobs=0"};
-    EXPECT_FALSE(exp::parseArgs(2, argv0, &bad, &err));
-    const char *argvx[] = {"damn_bench", "--intra-jobs=x"};
-    EXPECT_FALSE(exp::parseArgs(2, argvx, &bad, &err));
 }
 
 } // namespace
