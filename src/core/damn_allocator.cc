@@ -29,7 +29,7 @@ DamnAllocator::DamnAllocator(sim::Context &ctx, mem::PageAllocator &pa,
                              mem::KmallocHeap &heap, iommu::Iommu &mmu,
                              DamnConfig config)
     : ctx_(ctx), pageAlloc_(pa), heap_(heap), iommu_(mmu),
-      config_(config)
+      config_(config), frees_(ctx.stats.counter("damn.frees"))
 {}
 
 DmaCache &
@@ -164,7 +164,7 @@ DamnAllocator::damnFree(sim::CpuCursor &cpu, mem::Pa addr, AllocCtx actx)
             cache.recycleChunk(cpu, Chunk{head, pm.page(head + 1).priv},
                                actx);
         }
-        ctx_.stats.add("damn.frees");
+        frees_.add();
         return;
     }
 

@@ -159,6 +159,7 @@ class DamnAllocator
     std::map<CacheKey, std::uint32_t> cacheIndex_;
     std::vector<std::unique_ptr<DmaCache>> caches_;
     std::map<iommu::DomainId, std::uint32_t> devIdx_;
+    sim::Counter frees_;
 };
 
 } // namespace damn::core

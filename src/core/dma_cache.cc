@@ -42,7 +42,11 @@ DmaCache::DmaCache(sim::Context &ctx, mem::PageAllocator &pa,
       cacheId_(cache_id), devIdx_(dev_idx), rights_(rights), numa_(numa),
       config_(config),
       depot_(*this, config.magazineCapacity, ctx.cost.depotExchangeNs),
-      perCore_(ctx.machine.numCores())
+      perCore_(ctx.machine.numCores()),
+      allocs_(ctx.stats.counter("damn.allocs")),
+      chunksAllocated_(ctx.stats.counter("damn.chunks_allocated")),
+      chunksRecycled_(ctx.stats.counter("damn.chunks_recycled")),
+      chunksReleased_(ctx.stats.counter("damn.chunks_released"))
 {
     assert(config_.chunkPages >= 4 &&
            "compound metadata needs the third page struct");
@@ -173,7 +177,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
         hugeCarved_.pop_back();
         initCompound(c);
         ++ownedChunks_;
-        ctx_.stats.add("damn.chunks_allocated");
+        chunksAllocated_.add();
         return c;
     }
 
@@ -217,7 +221,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
 
     initCompound(c);
     ++ownedChunks_;
-    ctx_.stats.add("damn.chunks_allocated");
+    chunksAllocated_.add();
     return c;
 }
 
@@ -255,7 +259,7 @@ DmaCache::releaseChunk(sim::CpuCursor &cpu, const Chunk &c)
     pageAlloc_.freePages(c.pfn, orderOf(config_.chunkPages));
     assert(ownedChunks_ > 0);
     --ownedChunks_;
-    ctx_.stats.add("damn.chunks_released");
+    chunksReleased_.add();
 }
 
 Chunk
@@ -332,7 +336,7 @@ DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
 
     bs.offset = start + size;
     ++pageAlloc_.phys().page(bs.chunk.pfn).refcount;
-    ctx_.stats.add("damn.allocs");
+    allocs_.add();
     return mem::pfnToPa(bs.chunk.pfn) + start;
 }
 
@@ -341,7 +345,7 @@ DmaCache::recycleChunk(sim::CpuCursor &cpu, const Chunk &chunk,
                        AllocCtx actx)
 {
     putChunk(cpu, state(cpu.id(), actx), chunk);
-    ctx_.stats.add("damn.chunks_recycled");
+    chunksRecycled_.add();
 }
 
 iommu::Iova

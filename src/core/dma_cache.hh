@@ -206,6 +206,11 @@ class DmaCache : public ChunkSource
     std::vector<Chunk> hugeCarved_;
 
     std::uint64_t ownedChunks_ = 0;
+
+    sim::Counter allocs_;
+    sim::Counter chunksAllocated_;
+    sim::Counter chunksRecycled_;
+    sim::Counter chunksReleased_;
 };
 
 } // namespace damn::core

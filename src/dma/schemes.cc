@@ -105,8 +105,8 @@ MappedDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         (void)ok;
     }
 
-    ctx_.stats.add("dma.map");
-    ctx_.stats.add("dma.map_pages", pages);
+    maps_.add();
+    mapPages_.add(pages);
     return iova + mem::pageOffset(pa);
 }
 
@@ -124,7 +124,7 @@ MappedDmaApi::clearPtes(sim::CpuCursor &cpu, Device &dev,
         assert(ok && "unmap of an unmapped IOVA");
         (void)ok;
     }
-    ctx_.stats.add("dma.unmap");
+    unmaps_.add();
 }
 
 // ---------------------------------------------------------------------
@@ -160,7 +160,7 @@ StrictDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
     }
 
     iovaAlloc_.free(iova_base, pages);
-    ctx_.stats.add("dma.strict_invalidations");
+    invalidations_.add();
 }
 
 void
@@ -194,7 +194,7 @@ StrictDmaApi::unmapBatch(sim::CpuCursor &cpu, Device &dev,
     }
     for (const auto &r : ranges)
         iovaAlloc_.free(r.iova, unsigned(r.len >> mem::kPageShift));
-    ctx_.stats.add("dma.strict_invalidations");
+    invalidations_.add();
 }
 
 // ---------------------------------------------------------------------
@@ -286,7 +286,11 @@ bucketSize(unsigned b)
 
 ShadowDmaApi::ShadowDmaApi(sim::Context &ctx, iommu::Iommu &mmu,
                            mem::PageAllocator &pa)
-    : ctx_(ctx), iommu_(mmu), pageAlloc_(pa)
+    : ctx_(ctx), iommu_(mmu), pageAlloc_(pa),
+      maps_(ctx.stats.counter("dma.map")),
+      unmaps_(ctx.stats.counter("dma.unmap")),
+      txCopiedBytes_(ctx.stats.counter("shadow.tx_copied_bytes")),
+      rxCopiedBytes_(ctx.stats.counter("shadow.rx_copied_bytes"))
 {
     iovaAlloc_.setAddressLimit(mmu.layout().dmaApiLimit());
 }
@@ -399,11 +403,11 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
             std::uint64_t(2.0 * len * ctx_.cost.coldCopyMemFactor)));
         if (ctx_.functionalData)
             pm().copy(buf.pa, pa, len);
-        ctx_.stats.add("shadow.tx_copied_bytes", len);
+        txCopiedBytes_.add(len);
     }
 
     active_[buf.iova] = ActiveMap{buf, pa, len, dir, dev.domain()};
-    ctx_.stats.add("dma.map");
+    maps_.add();
     return buf.iova;
 }
 
@@ -432,12 +436,12 @@ ShadowDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
             std::uint64_t(2.0 * am.len * ctx_.cost.coldCopyMemFactor)));
         if (ctx_.functionalData)
             pm().copy(am.origPa, am.buf.pa, am.len);
-        ctx_.stats.add("shadow.rx_copied_bytes", am.len);
+        rxCopiedBytes_.add(am.len);
     }
 
     cpu.charge(ctx_.cost.shadowPoolOpNs);
     poolFree(dev, am.buf);
-    ctx_.stats.add("dma.unmap");
+    unmaps_.add();
 }
 
 std::uint64_t

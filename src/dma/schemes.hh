@@ -69,7 +69,10 @@ class MappedDmaApi : public DmaApi
 {
   public:
     MappedDmaApi(sim::Context &ctx, iommu::Iommu &mmu)
-        : ctx_(ctx), iommu_(mmu)
+        : ctx_(ctx), iommu_(mmu),
+          maps_(ctx.stats.counter("dma.map")),
+          mapPages_(ctx.stats.counter("dma.map_pages")),
+          unmaps_(ctx.stats.counter("dma.unmap"))
     {
         iovaAlloc_.setAddressLimit(mmu.layout().dmaApiLimit());
     }
@@ -130,6 +133,9 @@ class MappedDmaApi : public DmaApi
     iommu::Iommu &iommu_;
     iommu::IovaAllocator iovaAlloc_;
     std::uint64_t mapFails_ = 0;
+    sim::Counter maps_;
+    sim::Counter mapPages_;
+    sim::Counter unmaps_;
 };
 
 /**
@@ -151,6 +157,10 @@ class StrictDmaApi : public MappedDmaApi
 
     const char *name() const override { return "strict"; }
     bool windowFree() const override { return true; }
+
+  private:
+    sim::Counter invalidations_ =
+        ctx_.stats.counter("dma.strict_invalidations");
 };
 
 /**
@@ -293,6 +303,10 @@ class ShadowDmaApi : public DmaApi
     std::unordered_map<iommu::Iova, ActiveMap> active_;
     std::uint64_t poolFrames_ = 0;
     std::uint64_t mapFails_ = 0;
+    sim::Counter maps_;
+    sim::Counter unmaps_;
+    sim::Counter txCopiedBytes_;
+    sim::Counter rxCopiedBytes_;
 };
 
 /**

@@ -83,11 +83,17 @@ AtsAgent::invalidateRange(Iova iova, std::uint64_t len)
         return;
     }
     ++invalidations_;
-    const Iova lo = iova;
-    const Iova hi = iova + len;
-    for (Entry &e : atc_)
-        if (e.valid && e.page < hi && e.page + mem::kPageSize > lo)
+    // Overlap with [iova, iova + len) through inclusive last addresses,
+    // as Iotlb::invalidateRange does: an entry on the top page below
+    // 2^64 invalidates like any other, a range running past 2^64 stops
+    // at the top, and a zero-length range covers only an entry that
+    // strictly contains iova.
+    for (Entry &e : atc_) {
+        const Iova pageLast = e.page + (mem::kPageSize - 1);
+        if (e.valid && pageLast >= iova &&
+            (e.page < iova || e.page - iova < len))
             e.valid = false;
+    }
 }
 
 void

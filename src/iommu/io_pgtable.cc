@@ -8,6 +8,8 @@
 #include <array>
 #include <cassert>
 
+#include "sim/check.hh"
+
 namespace damn::iommu {
 
 struct IoPageTable::Node
@@ -105,7 +107,7 @@ IoPageTable::unmap(Iova iova)
     if (!e || !(e->val & kPresent))
         return false;
     e->val = 0;
-    assert(mapped4k_ > 0);
+    DAMN_CHECK(mapped4k_ > 0, "page-table unmap with no 4 KiB page counted");
     --mapped4k_;
     return true;
 }
@@ -117,7 +119,7 @@ IoPageTable::unmapHuge(Iova iova)
     if (!e || !(e->val & kPresent) || !(e->val & kHugeBit))
         return false;
     e->val = 0;
-    assert(mapped2m_ > 0);
+    DAMN_CHECK(mapped2m_ > 0, "page-table unmap with no 2 MiB page counted");
     --mapped2m_;
     return true;
 }

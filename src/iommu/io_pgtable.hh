@@ -83,6 +83,14 @@ class IoPageTable
     std::uint64_t mapped4kEntries() const { return mapped4k_; }
     std::uint64_t mapped2mEntries() const { return mapped2m_; }
 
+    /**
+     * TEST-ONLY: zero both mapping counters and leave every entry in
+     * place, planting the entry/counter mismatch that unmap() and
+     * unmapHuge() must fail-stop on.  Production code never calls
+     * this.
+     */
+    void debugForgetCounts() { mapped4k_ = mapped2m_ = 0; }
+
   private:
     struct Node; // 512-ary radix node
 

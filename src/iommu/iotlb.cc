@@ -23,32 +23,122 @@ Iotlb::setBase(bool huge, DomainId domain, Iova page_tag)
     return &bank[std::size_t((page_tag >> shift) % sets) * ways];
 }
 
+PageWalkCache::PageWalkCache(unsigned capacity) : capacity_(capacity)
+{
+    // At most a quarter full: short probe runs on every lookup.
+    unsigned bits = 2;
+    while ((std::size_t{1} << bits) < std::size_t(capacity) * 4)
+        ++bits;
+    index_.assign(std::size_t{1} << bits, kEmpty);
+    shift_ = 64 - bits;
+    entries_.reserve(capacity);
+}
+
+std::size_t
+PageWalkCache::home(DomainId domain, Iova tag) const
+{
+    // Fibonacci hashing: the top bits of the product mix every input
+    // bit, so neighbouring 2 MiB tags land in different home slots.
+    const std::uint64_t key = tag ^ (std::uint64_t(domain) << 44);
+    return std::size_t((key * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+void
+PageWalkCache::unlink(std::uint32_t e)
+{
+    Entry &x = entries_[e];
+    (x.prev == kNil ? head_ : entries_[x.prev].next) = x.next;
+    (x.next == kNil ? tail_ : entries_[x.next].prev) = x.prev;
+}
+
+void
+PageWalkCache::pushFront(std::uint32_t e)
+{
+    Entry &x = entries_[e];
+    x.prev = kNil;
+    x.next = head_;
+    (head_ == kNil ? tail_ : entries_[head_].prev) = e;
+    head_ = e;
+}
+
+void
+PageWalkCache::insertKey(std::uint32_t e)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t p = home(entries_[e].domain, entries_[e].tag);
+    while (index_[p] != kEmpty)
+        p = (p + 1) & mask;
+    index_[p] = e + 1;
+}
+
+void
+PageWalkCache::eraseKey(std::uint32_t e)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t hole = home(entries_[e].domain, entries_[e].tag);
+    while (index_[hole] != e + 1)
+        hole = (hole + 1) & mask;
+    // Backward-shift deletion: pull later members of the probe run
+    // into the hole unless that would move one before its home slot.
+    for (std::size_t q = (hole + 1) & mask; index_[q] != kEmpty;
+         q = (q + 1) & mask) {
+        const Entry &x = entries_[index_[q] - 1];
+        const std::size_t h = home(x.domain, x.tag);
+        if (((q - h) & mask) >= ((q - hole) & mask)) {
+            index_[hole] = index_[q];
+            hole = q;
+        }
+    }
+    index_[hole] = kEmpty;
+}
+
+bool
+PageWalkCache::touch(DomainId domain, Iova tag)
+{
+    // Most walks fall in the region walked last: try it before hashing.
+    if (head_ != kNil && entries_[head_].tag == tag &&
+        entries_[head_].domain == domain)
+        return true;
+    if (capacity_ == 0)
+        return false;
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t p = home(domain, tag); index_[p] != kEmpty;
+         p = (p + 1) & mask) {
+        const std::uint32_t e = index_[p] - 1;
+        if (entries_[e].tag == tag && entries_[e].domain == domain) {
+            unlink(e);
+            pushFront(e);
+            return true;
+        }
+    }
+    std::uint32_t e;
+    if (entries_.size() < capacity_) {
+        e = std::uint32_t(entries_.size());
+        entries_.push_back({});
+    } else {
+        e = tail_;
+        eraseKey(e);
+        unlink(e);
+    }
+    entries_[e].tag = tag;
+    entries_[e].domain = domain;
+    insertKey(e);
+    pushFront(e);
+    return false;
+}
+
 bool
 Iotlb::walkCached(DomainId domain, Iova iova)
 {
-    const Iova tag = iova >> 21;
-    PwcEntry *victim = &pwc_[0];
-    for (PwcEntry &e : pwc_) {
-        if (e.valid && e.domain == domain && e.tag == tag) {
-            e.lastUse = ++clock_;
-            return true;
-        }
-        if (!e.valid || e.lastUse < victim->lastUse)
-            victim = &e;
-    }
-    victim->valid = true;
-    victim->domain = domain;
-    victim->tag = tag;
-    victim->lastUse = ++clock_;
-    return false;
+    return pwc_.touch(domain, iova >> 21);
 }
 
 const TlbEntry *
 Iotlb::lookup(DomainId domain, Iova iova)
 {
     // The LRU clock advances only when a stamp is actually written (on
-    // hit; insert/walkCached stamp for themselves), keeping the miss
-    // path scan-only.  Only the *relative order* of lastUse values
+    // hit; insert stamps for itself), keeping the miss path scan-only.
+    // Only the *relative order* of lastUse values
     // feeds victim selection, so skipping ticks on misses leaves every
     // eviction decision — and therefore all simulated output —
     // unchanged.

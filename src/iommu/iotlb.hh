@@ -34,6 +34,54 @@ struct TlbEntry
 };
 
 /**
+ * Page-walk cache: an exact LRU set of (domain, 2 MiB tag) keys.
+ *
+ * An intrusive doubly linked recency list orders the entries; a small
+ * open-addressed index (linear probing, backward-shift deletion, at
+ * most one quarter full) finds a key's entry, so a lookup costs O(1)
+ * instead of a scan of every entry.  Entries are never invalidated:
+ * empty entries fill first, then the least recently touched key is
+ * evicted.  A capacity of zero caches nothing.
+ */
+class PageWalkCache
+{
+  public:
+    explicit PageWalkCache(unsigned capacity);
+
+    /**
+     * Look up (@p domain, @p tag) and make it the most recent entry:
+     * true on a hit; on a miss insert it, evicting the least recently
+     * used entry when full, and return false.
+     */
+    bool touch(DomainId domain, Iova tag);
+
+  private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint32_t kEmpty = 0; //!< index: entry + 1
+
+    struct Entry
+    {
+        Iova tag;
+        DomainId domain;
+        std::uint32_t prev; //!< toward the most recent, kNil at head
+        std::uint32_t next; //!< toward the least recent, kNil at tail
+    };
+
+    std::size_t home(DomainId domain, Iova tag) const;
+    void unlink(std::uint32_t e);
+    void pushFront(std::uint32_t e);
+    void eraseKey(std::uint32_t e);
+    void insertKey(std::uint32_t e);
+
+    std::vector<Entry> entries_;       //!< filled in order, never shrinks
+    std::vector<std::uint32_t> index_; //!< power-of-two open addressing
+    unsigned capacity_;
+    unsigned shift_;                   //!< 64 - log2(index_.size())
+    std::uint32_t head_ = kNil;        //!< most recently used
+    std::uint32_t tail_ = kNil;        //!< least recently used
+};
+
+/**
  * Two-bank set-associative IOTLB: a 4 KiB bank and a 2 MiB bank, as in
  * real VT-d implementations.  A 2 MiB entry covers 512x the IOVA range,
  * which is why Table 3's huge+dense variant gains throughput.
@@ -136,19 +184,10 @@ class Iotlb
     TlbEntry *setBase(bool huge, DomainId domain, Iova page_tag);
     unsigned waysOf(bool huge) const { return huge ? ways2m_ : ways4k_; }
 
-    /** Page-walk cache: fully associative LRU of 2 MiB region tags. */
-    struct PwcEntry
-    {
-        bool valid = false;
-        DomainId domain = 0;
-        Iova tag = 0;
-        std::uint64_t lastUse = 0;
-    };
-
     unsigned sets4k_, ways4k_, sets2m_, ways2m_;
     std::vector<TlbEntry> bank4k_;
     std::vector<TlbEntry> bank2m_;
-    std::vector<PwcEntry> pwc_;
+    PageWalkCache pwc_;
     std::uint64_t clock_ = 0;
     unsigned debugDropRemaining_ = 0; //!< test-only; see above
     std::uint64_t hits_ = 0;

@@ -21,6 +21,7 @@
 
 #include "iommu/io_pgtable.hh"
 #include "mem/phys.hh"
+#include "sim/check.hh"
 
 namespace damn::iommu {
 
@@ -132,7 +133,7 @@ class IovaAllocator
     void
     free(Iova iova, unsigned pages)
     {
-        assert(outstanding_ >= pages && "double free of IOVA range");
+        DAMN_CHECK(outstanding_ >= pages, "double free of IOVA range");
         outstanding_ -= pages;
         freeLists_[pages].push_back(iova);
     }

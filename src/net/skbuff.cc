@@ -141,7 +141,7 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
     }
 
     securedBytes_ += copied;
-    ctx_.stats.add("guard.secured_bytes", copied);
+    securedBytesStat_.add(copied);
     return copied;
 }
 

@@ -103,7 +103,8 @@ class SkbAccessor
                 mem::KmallocHeap &heap, mem::PageFragAllocator &frag,
                 core::DamnAllocator *alloc)
         : ctx_(ctx), pageAlloc_(pa), pm_(pa.phys()), heap_(heap),
-          frag_(frag), alloc_(alloc)
+          frag_(frag), alloc_(alloc),
+          securedBytesStat_(ctx.stats.counter("guard.secured_bytes"))
     {}
 
     /**
@@ -141,6 +142,7 @@ class SkbAccessor
     mem::PageFragAllocator &frag_;
     core::DamnAllocator *alloc_;
     std::uint64_t securedBytes_ = 0;
+    sim::Counter securedBytesStat_;
 };
 
 } // namespace damn::net

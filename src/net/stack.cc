@@ -13,6 +13,11 @@ namespace damn::net {
 // NicDriver
 // ---------------------------------------------------------------------
 
+NicDriver::NicDriver(System &sys, NicDevice &nic)
+    : sys_(sys), nic_(nic),
+      rxAbortedBuffers_(sys.ctx.stats.counter("net.rx_aborted_buffers"))
+{}
+
 RxBuffer
 NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
                          core::AllocCtx actx)
@@ -116,7 +121,7 @@ NicDriver::abortRxBuffer(sim::CpuCursor &cpu, RxBuffer buf,
     skb.dev = &nic_;
     skb.append(buf.seg);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add("net.rx_aborted_buffers");
+    rxAbortedBuffers_.add();
 }
 
 bool
@@ -174,6 +179,17 @@ NicDriver::sgOf(const SkBuff &skb) const
 // TcpStack
 // ---------------------------------------------------------------------
 
+TcpStack::TcpStack(System &sys, NicDevice &nic)
+    : driver(sys, nic), sys_(sys), nic_(nic),
+      rxSegments_(sys.ctx.stats.counter("net.rx_segments")),
+      rxBytes_(sys.ctx.stats.counter("net.rx_bytes")),
+      userReadBytes_(sys.ctx.stats.counter("net.user_read_bytes")),
+      txSegments_(sys.ctx.stats.counter("net.tx_segments")),
+      txBytes_(sys.ctx.stats.counter("net.tx_bytes")),
+      txZerocopySegments_(
+          sys.ctx.stats.counter("net.tx_zerocopy_segments"))
+{}
+
 void
 TcpStack::chargeCopy(sim::CpuCursor &cpu, std::uint64_t bytes,
                      double bytes_per_ns)
@@ -213,8 +229,8 @@ TcpStack::rxSegment(sim::CpuCursor &cpu, SkBuff &skb, double factor)
 
     cpu.charge(sim::TimeNs(double(c.stackPerSegmentNs) * factor));
     cpu.charge(c.ackPerSegmentNs);
-    sys_.ctx.stats.add("net.rx_segments");
-    sys_.ctx.stats.add("net.rx_bytes", skb.len());
+    rxSegments_.add();
+    rxBytes_.add(skb.len());
 }
 
 void
@@ -229,7 +245,7 @@ TcpStack::appRead(sim::CpuCursor &cpu, SkBuff &skb, double factor,
     // for payload bytes -- no extra work.
     chargeCopy(cpu, skb.len(), sys_.ctx.cost.warmCopyBytesPerNs);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add("net.user_read_bytes", skb.len());
+    userReadBytes_.add(skb.len());
 }
 
 SkBuff
@@ -324,8 +340,8 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
         skb.allocFailed = true;
         return skb;
     }
-    sys_.ctx.stats.add("net.tx_segments");
-    sys_.ctx.stats.add("net.tx_bytes", seg_bytes);
+    txSegments_.add();
+    txBytes_.add(seg_bytes);
     return skb;
 }
 
@@ -392,7 +408,7 @@ TcpStack::txBuildZeroCopy(sim::CpuCursor &cpu,
         skb.allocFailed = true;
         return skb;
     }
-    sys_.ctx.stats.add("net.tx_zerocopy_segments");
+    txZerocopySegments_.add();
     return skb;
 }
 

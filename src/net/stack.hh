@@ -46,7 +46,7 @@ using NetfilterHook =
 class NicDriver
 {
   public:
-    NicDriver(System &sys, NicDevice &nic) : sys_(sys), nic_(nic) {}
+    NicDriver(System &sys, NicDevice &nic);
 
     /**
      * Allocate and DMA-map one receive buffer of @p bytes.
@@ -92,6 +92,7 @@ class NicDriver
   private:
     System &sys_;
     NicDevice &nic_;
+    sim::Counter rxAbortedBuffers_;
 };
 
 /**
@@ -106,9 +107,7 @@ class TcpStack
     /** TX skb head (headers + metadata). */
     static constexpr std::uint32_t kTxHeadBytes = 256;
 
-    TcpStack(System &sys, NicDevice &nic)
-        : driver(sys, nic), sys_(sys), nic_(nic)
-    {}
+    TcpStack(System &sys, NicDevice &nic);
 
     /**
      * Kernel receive path for one LRO aggregate: netfilter, header
@@ -174,6 +173,12 @@ class TcpStack
     System &sys_;
     NicDevice &nic_;
     std::vector<NetfilterHook> hooks_;
+    sim::Counter rxSegments_;
+    sim::Counter rxBytes_;
+    sim::Counter userReadBytes_;
+    sim::Counter txSegments_;
+    sim::Counter txBytes_;
+    sim::Counter txZerocopySegments_;
 };
 
 } // namespace damn::net

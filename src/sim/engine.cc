@@ -8,31 +8,36 @@
 
 namespace damn::sim {
 
+// Both sifts carry the moving node in a register and shift the nodes
+// it passes over into the hole it leaves, writing the node itself once
+// where it stops: one store per level instead of a swap's three.
+
 void
 Engine::heapPush(HeapNode node)
 {
-    std::size_t i = heap_.size();
+    std::size_t hole = heap_.size();
     heap_.push_back(node);
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / kArity;
-        if (!before(heap_[i], heap_[parent]))
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / kArity;
+        if (!before(node, heap_[parent]))
             break;
-        std::swap(heap_[i], heap_[parent]);
-        i = parent;
+        heap_[hole] = heap_[parent];
+        hole = parent;
     }
+    heap_[hole] = node;
 }
 
 void
 Engine::heapPop()
 {
     const std::size_t n = heap_.size() - 1;
-    heap_[0] = heap_[n];
+    const HeapNode node = heap_[n];
     heap_.pop_back();
     if (n == 0)
         return;
-    std::size_t i = 0;
+    std::size_t hole = 0;
     for (;;) {
-        const std::size_t first = i * kArity + 1;
+        const std::size_t first = hole * kArity + 1;
         if (first >= n)
             break;
         std::size_t best = first;
@@ -40,11 +45,12 @@ Engine::heapPop()
         for (std::size_t c = first + 1; c < last; ++c)
             if (before(heap_[c], heap_[best]))
                 best = c;
-        if (!before(heap_[best], heap_[i]))
+        if (!before(heap_[best], node))
             break;
-        std::swap(heap_[i], heap_[best]);
-        i = best;
+        heap_[hole] = heap_[best];
+        hole = best;
     }
+    heap_[hole] = node;
 }
 
 std::uint64_t

@@ -134,8 +134,12 @@ validateBfs(const Graph &g, std::uint32_t root, const BfsResult &r)
 // ---------------------------------------------------------------------
 
 BfsCorunner::BfsCorunner(sim::Context &ctx, Config cfg)
-    : ctx_(ctx), cfg_(cfg), stats_(ctx.stats, "bfs")
-{}
+    : ctx_(ctx), cfg_(cfg)
+{
+    sim::ScopedStats stats(ctx.stats, "bfs");
+    quanta_ = stats.counter("quanta");
+    bytes_ = stats.counter("bytes");
+}
 
 void
 BfsCorunner::start()
@@ -178,8 +182,8 @@ BfsCorunner::runQuantum(unsigned team, unsigned member)
 
     if (cpu.time >= windowStart_) {
         processedBytes_ += chunk;
-        stats_.add("quanta");
-        stats_.add("bytes", chunk);
+        quanta_.add();
+        bytes_.add(chunk);
     }
 
     ctx_.engine.schedule(cpu.time,

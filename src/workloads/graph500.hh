@@ -132,7 +132,8 @@ class BfsCorunner
 
     sim::Context &ctx_;
     Config cfg_;
-    sim::ScopedStats stats_;
+    sim::Counter quanta_;
+    sim::Counter bytes_;
     std::uint64_t processedBytes_ = 0;
     sim::TimeNs windowStart_ = 0;
 };

@@ -38,9 +38,12 @@ class KbuildChurn
     };
 
     KbuildChurn(sim::Context &ctx, mem::PageAllocator &pa, Config cfg)
-        : ctx_(ctx), pageAlloc_(pa), cfg_(cfg),
-          stats_(ctx.stats, "kbuild")
-    {}
+        : ctx_(ctx), pageAlloc_(pa), cfg_(cfg)
+    {
+        sim::ScopedStats stats(ctx.stats, "kbuild");
+        burstsStat_ = stats.counter("bursts");
+        pagesStat_ = stats.counter("pages");
+    }
 
     /** Begin churning (runs until the engine stops). */
     void
@@ -74,8 +77,8 @@ class KbuildChurn
             pages += 1u << order;
         }
         ++bursts_;
-        stats_.add("bursts");
-        stats_.add("pages", pages);
+        burstsStat_.add();
+        pagesStat_.add(pages);
 
         const sim::TimeNs hold = ctx_.rng.between(cfg_.minHoldNs,
                                                   cfg_.maxHoldNs);
@@ -89,7 +92,8 @@ class KbuildChurn
     sim::Context &ctx_;
     mem::PageAllocator &pageAlloc_;
     Config cfg_;
-    sim::ScopedStats stats_;
+    sim::Counter burstsStat_;
+    sim::Counter pagesStat_;
     std::uint64_t bursts_ = 0;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Test fixture shared by the edge and release suites: a DAMN-scheme
- * System with one NIC.
+ * Test fixture shared by the edge, release and net suites: a System
+ * with one NIC, under the DAMN scheme unless told otherwise.
  */
 
 #ifndef DAMN_TESTS_DAMN_SYS_HH
@@ -16,10 +16,10 @@ namespace damn::test {
 
 struct DamnSys
 {
-    DamnSys()
+    explicit DamnSys(dma::SchemeKind scheme = dma::SchemeKind::Damn)
     {
         net::SystemParams p;
-        p.scheme = dma::SchemeKind::Damn;
+        p.scheme = scheme;
         sys = std::make_unique<net::System>(p);
         nic = std::make_unique<net::NicDevice>(*sys, "mlx5_0");
     }

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "dma/device.hh"
 #include "dma/faultable.hh"
 #include "iommu/ats.hh"
@@ -345,4 +349,92 @@ TEST_F(SmmuAtsFixture, ResumeIsFireAndForget)
     EXPECT_GT(done, 50u);
     EXPECT_EQ(ctx.stats.get("smmu.cmd_resumes"), 1u);
     EXPECT_EQ(smmu.pageRequestsResponded(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// ATC range invalidation vs a full-scan reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+constexpr Iova kAtcTop = ~Iova{0} - (mem::kPageSize - 1); // last page
+constexpr Iova kAtcLow = 0x1000'0000;
+
+/** Exact overlap of [iova, iova + len) with a page, in 128-bit
+ *  arithmetic so nothing wraps: a range running past 2^64 covers up to
+ *  the top, and a zero-length one only a page strictly containing iova. */
+bool
+atcReferenceCovers(Iova page, Iova iova, std::uint64_t len)
+{
+    using U = unsigned __int128;
+    return U(page) < U(iova) + len && U(page) + mem::kPageSize > U(iova);
+}
+
+} // namespace
+
+TEST(AtcDifferential, InvalidateRangeMatchesFullScanIncludingTopPage)
+{
+    sim::Context ctx(sim::CostModel{}, 1, 2);
+    Iommu mmu(ctx, true, BackendKind::Vtd);
+    const DomainId d = mmu.createDomain();
+    // 40 pages from a 256-page low window and the 8 pages just below
+    // 2^64: fewer than the ATC holds, so nothing is evicted.
+    std::mt19937_64 rng(11);
+    std::vector<Iova> pages;
+    while (pages.size() < 40) {
+        const Iova p = kAtcLow + (rng() % 256) * mem::kPageSize;
+        if (std::find(pages.begin(), pages.end(), p) == pages.end())
+            pages.push_back(p);
+    }
+    for (Iova j = 0; j < 8; ++j)
+        pages.push_back(kAtcTop - j * mem::kPageSize);
+    ASSERT_LE(pages.size(), ctx.cost.atsDevTlbEntries);
+    for (const Iova p : pages)
+        ASSERT_TRUE(mmu.mapPage(d, p, 0x100000, PermRW));
+    std::sort(pages.begin(), pages.end());
+
+    unsigned topDropped = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        AtsAgent ats(ctx, mmu, d);
+        for (const Iova p : pages)
+            ASSERT_TRUE(ats.translate(p, false).ok);
+        Iova iova;
+        std::uint64_t len;
+        const Iova base = rng() % 2 ? kAtcTop - 8 * mem::kPageSize
+                                    : kAtcLow;
+        switch (trial % 5) {
+          case 0: // small ranges, some running past 2^64
+            iova = base + rng() % (12 * mem::kPageSize);
+            len = rng() % (64 * 1024);
+            break;
+          case 1: // page-aligned ranges
+            iova = base + (rng() % 12) * mem::kPageSize;
+            len = (rng() % 8) * mem::kPageSize;
+            break;
+          case 2: // zero length, aligned or not
+            iova = base + rng() % (12 * mem::kPageSize);
+            len = 0;
+            break;
+          case 3: // huge lengths
+            iova = base + rng() % (12 * mem::kPageSize);
+            len = rng();
+            break;
+          default: // exactly the top page
+            iova = kAtcTop;
+            len = mem::kPageSize;
+            break;
+        }
+        std::vector<Iova> want;
+        for (const Iova p : pages)
+            if (!atcReferenceCovers(p, iova, len))
+                want.push_back(p);
+        ats.invalidateRange(iova, len);
+        std::vector<Iova> got = ats.validEntries();
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "iova " << std::hex << iova << " len "
+                             << len;
+        topDropped += std::find(got.begin(), got.end(), kAtcTop) ==
+                      got.end();
+    }
+    EXPECT_GT(topDropped, 100u);
 }

@@ -1141,3 +1141,106 @@ TEST_F(SmmuTinyQueues, EventQueueBoundedWithOverflowFlag)
     EXPECT_TRUE(mmu.translate(d, 0xbeef000, true).fault);
     EXPECT_EQ(smmu.eventQueue().size(), 1u);
 }
+
+// ---------------------------------------------------------------------
+// Page-walk cache vs a linear-scan LRU reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The page-walk cache as a scan of every entry: a hit restamps the
+ *  entry, a miss fills an empty entry or else evicts the oldest stamp. */
+class ScanPwc
+{
+  public:
+    explicit ScanPwc(unsigned capacity) : entries_(capacity) {}
+
+    bool
+    touch(DomainId domain, Iova iova)
+    {
+        const Iova tag = iova >> 21;
+        Entry *victim = &entries_[0];
+        for (Entry &e : entries_) {
+            if (e.valid && e.domain == domain && e.tag == tag) {
+                e.lastUse = ++clock_;
+                return true;
+            }
+            if (!e.valid || e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        *victim = {true, domain, tag, ++clock_};
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        DomainId domain = 0;
+        Iova tag = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::vector<Entry> entries_;
+    std::uint64_t clock_ = 0;
+};
+
+/** A stream of (domain, iova): repeats of the previous region, a hot
+ *  set of ~1.5x @p capacity regions per domain, cold regions and
+ *  regions just below 2^64. */
+std::vector<std::pair<DomainId, Iova>>
+pwcStream(std::uint64_t seed, unsigned capacity, std::size_t n)
+{
+    std::mt19937_64 rng(seed);
+    const std::uint64_t hot = capacity + capacity / 2 + 2;
+    std::vector<std::pair<DomainId, Iova>> out;
+    out.reserve(n);
+    DomainId d = 0;
+    Iova region = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Kinds 0-2 repeat the previous domain and region.
+        const std::uint64_t kind = rng() % 10;
+        if (kind >= 3)
+            d = DomainId(rng() % 4);
+        if (kind >= 3 && kind < 8)
+            region = rng() % hot;
+        else if (kind == 8)
+            region = rng() % (1ull << 40);
+        else if (kind == 9)
+            region = (~Iova{0} >> 21) - rng() % 4;
+        out.emplace_back(d, (region << 21) | (rng() & ((1u << 21) - 1)));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(PwcDifferential, HitMissSequenceMatchesScanReference)
+{
+    for (const unsigned capacity : {1u, 16u, 32u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            Iotlb tlb(256, 4, 32, 4, capacity);
+            ScanPwc ref(capacity);
+            std::size_t hits = 0;
+            const auto stream = pwcStream(seed, capacity, 50000);
+            for (std::size_t i = 0; i < stream.size(); ++i) {
+                const auto [d, iova] = stream[i];
+                const bool want = ref.touch(d, iova);
+                ASSERT_EQ(tlb.walkCached(d, iova), want)
+                    << "capacity " << capacity << " seed " << seed
+                    << " access " << i;
+                hits += want;
+            }
+            // The stream exercises both outcomes.
+            EXPECT_GT(hits, stream.size() / 10) << capacity;
+            EXPECT_LT(hits, stream.size()) << capacity;
+        }
+    }
+}
+
+TEST(PwcDifferential, ZeroCapacityCachesNothing)
+{
+    Iotlb tlb(256, 4, 32, 4, 0);
+    EXPECT_FALSE(tlb.walkCached(0, 0x200000));
+    EXPECT_FALSE(tlb.walkCached(0, 0x200000));
+}

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "net/stream.hh"
+#include "tests/damn_sys.hh"
 
 using namespace damn;
 using namespace damn::net;
@@ -456,4 +457,68 @@ TEST(StreamEngine, PerFlowResultsSumToTotal)
         sum += fr.gbps;
     EXPECT_NEAR(sum, r.totalGbps, 1e-6);
     EXPECT_NEAR(r.rxGbps + r.txGbps, r.totalGbps, 1e-6);
+}
+
+// ---------------------------------------------------------------------
+// Hot-path guard: no counter name is resolved per segment
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Name resolutions (sim::Stats::resolutions) booked over a steady
+ * bidirectional window of @p window_ms after a warm-up, under
+ * @p scheme.  Hot paths hold counter handles, so this must not grow
+ * with the window.
+ */
+std::uint64_t
+resolutionsOverWindow(dma::SchemeKind scheme, unsigned window_ms,
+                      std::uint64_t *segments)
+{
+    test::DamnSys d(scheme);
+    System &sys = *d.sys;
+    sys.ctx.functionalData = false;
+    TcpStack stack(sys, *d.nic);
+    StreamEngine eng(sys, *d.nic, stack);
+    for (unsigned i = 0; i < 8; ++i) {
+        FlowSpec f;
+        f.kind = i % 2 ? Traffic::Tx : Traffic::Rx;
+        f.core = i;
+        f.port = i % 2;
+        eng.addFlow(f);
+    }
+    eng.startAll();
+    const sim::TimeNs warmup = 2 * sim::kNsPerMs;
+    sys.ctx.engine.run(warmup);
+    // The window starts from cleared counters, as a measured run's does:
+    // handles taken before clear() must keep counting.
+    sys.ctx.resetAccounting();
+    const std::uint64_t r0 = sys.ctx.stats.resolutions();
+    const std::uint64_t s0 = eng.totalSegments();
+    sys.ctx.engine.run(warmup + window_ms * sim::kNsPerMs);
+    *segments = eng.totalSegments() - s0;
+    // Counters booked through handles taken before clear().
+    EXPECT_GT(sys.ctx.stats.get("net.rx_segments"), 0u);
+    EXPECT_GT(sys.ctx.stats.get("net.tx_segments"), 0u);
+    return sys.ctx.stats.resolutions() - r0;
+}
+
+} // namespace
+
+TEST(StatsHotPath, NoNameResolvedPerSegment)
+{
+    for (const auto scheme :
+         {dma::SchemeKind::Damn, dma::SchemeKind::Strict}) {
+        SCOPED_TRACE(dma::schemeKindName(scheme));
+        std::uint64_t segs1 = 0;
+        std::uint64_t segs3 = 0;
+        const std::uint64_t r1 = resolutionsOverWindow(scheme, 1, &segs1);
+        const std::uint64_t r3 = resolutionsOverWindow(scheme, 3, &segs3);
+        // The longer window moves roughly three times the segments...
+        ASSERT_GT(segs1, 100u);
+        EXPECT_GT(segs3, 2 * segs1);
+        // ...and resolves not one more name.
+        EXPECT_EQ(r3, r1);
+        EXPECT_EQ(r1, 0u);
+    }
 }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "dma/schemes.hh"
+#include "iommu/io_pgtable.hh"
 #include "iommu/iova_alloc.hh"
 #include "mem/kmalloc.hh"
 #include "net/system.hh"
@@ -211,4 +212,32 @@ TEST(ReleaseDeath, UnalignedPhysicalMemoryDies)
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     ASSERT_DEATH({ mem::PhysicalMemory pm(kMiB + 1); }, "page-aligned");
     ASSERT_DEATH({ mem::PhysicalMemory pm(0); }, "at least one frame");
+}
+
+TEST(ReleaseDeath, IovaDoubleFreeDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    iommu::IovaAllocator a;
+    const iommu::Iova iova = a.alloc(1);
+    ASSERT_NE(iova, iommu::kInvalidIova);
+    a.free(iova, 1);
+    ASSERT_DEATH(a.free(iova, 1), "double free of IOVA range");
+}
+
+TEST(ReleaseDeath, PageTableUnmapWithNo4kCountedDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    iommu::IoPageTable pt;
+    ASSERT_TRUE(pt.map(0x4000, 0x1000, iommu::PermRead));
+    pt.debugForgetCounts();
+    ASSERT_DEATH(pt.unmap(0x4000), "no 4 KiB page counted");
+}
+
+TEST(ReleaseDeath, PageTableUnmapWithNo2mCountedDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    iommu::IoPageTable pt;
+    ASSERT_TRUE(pt.mapHuge(0x200000, 0x400000, iommu::PermRW));
+    pt.debugForgetCounts();
+    ASSERT_DEATH(pt.unmapHuge(0x200000), "no 2 MiB page counted");
 }

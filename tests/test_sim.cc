@@ -8,6 +8,10 @@
 
 #include <array>
 #include <functional>
+#include <map>
+#include <queue>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "sim/context.hh"
@@ -566,4 +570,238 @@ TEST(Stats, AddSetMaxGet)
     EXPECT_TRUE(s.has("a"));
     s.clear();
     EXPECT_FALSE(s.has("a"));
+}
+
+TEST(Stats, HandleIsAbsentUntilWritten)
+{
+    Stats s;
+    const Counter c = s.counter("x");
+    EXPECT_FALSE(s.has("x"));
+    EXPECT_EQ(s.get("x"), 0u);
+    EXPECT_TRUE(s.snapshot().empty());
+    c.add(0); // a zero write still creates the counter
+    EXPECT_TRUE(s.has("x"));
+    EXPECT_EQ(s.snapshot(), (std::map<std::string, std::uint64_t>{{"x", 0}}));
+}
+
+TEST(Stats, HandlesSurviveClear)
+{
+    Stats s;
+    const Counter c = s.counter("x");
+    c.add(5);
+    s.clear();
+    EXPECT_FALSE(s.has("x"));
+    EXPECT_EQ(s.get("x"), 0u);
+    EXPECT_TRUE(s.snapshot().empty());
+    c.add(2);
+    EXPECT_TRUE(s.has("x"));
+    EXPECT_EQ(s.get("x"), 2u);
+}
+
+TEST(Stats, HandlesOfOneNameShareASlot)
+{
+    Stats s;
+    const Counter a = s.counter("n");
+    const Counter b = s.counter("n");
+    a.add(3);
+    b.add(4);
+    EXPECT_EQ(s.get("n"), 7u);
+    s.add("n", 10); // by name and by handle: one sum
+    EXPECT_EQ(a.get(), 17u);
+    s.set("n", 1);
+    EXPECT_EQ(b.get(), 1u);
+    a.max(0);
+    EXPECT_EQ(s.get("n"), 1u);
+    b.max(9);
+    EXPECT_EQ(s.get("n"), 9u);
+    EXPECT_EQ(s.snapshot().size(), 1u);
+}
+
+TEST(Stats, ResolutionsCountNameLookupsOnly)
+{
+    Stats s;
+    const Counter c = s.counter("a"); // 1
+    s.add("a");                       // 2
+    s.set("b", 1);                    // 3
+    s.max("b", 2);                    // 4
+    EXPECT_EQ(s.resolutions(), 4u);
+    c.add();
+    c.set(3);
+    c.max(4);
+    (void)s.get("a");
+    (void)s.has("b");
+    (void)s.snapshot();
+    s.clear();
+    EXPECT_EQ(s.resolutions(), 4u);
+}
+
+TEST(Stats, OutputMatchesAnOrderedMapReference)
+{
+    // The reference is the registry's former representation: a
+    // std::map written through operator[], emptied by clear().
+    std::mt19937_64 rng(7);
+    Stats s;
+    std::map<std::string, std::uint64_t> ref;
+    std::vector<std::string> names;
+    for (int i = 0; i < 40; ++i)
+        names.push_back((i % 3 ? "net." : "dma.") + std::to_string(i * 7 % 40));
+    std::vector<Counter> handles;
+    for (int i = 0; i < 20; ++i)
+        handles.push_back(s.counter(names[i * 2]));
+    for (int step = 0; step < 20000; ++step) {
+        const std::size_t n = rng() % names.size();
+        const std::uint64_t v = rng() % 100;
+        const bool viaHandle = n % 2 == 0 && rng() % 2 == 0;
+        switch (rng() % 3) {
+          case 0:
+            viaHandle ? handles[n / 2].add(v) : s.add(names[n], v);
+            ref[names[n]] += v;
+            break;
+          case 1:
+            viaHandle ? handles[n / 2].set(v) : s.set(names[n], v);
+            ref[names[n]] = v;
+            break;
+          default:
+            viaHandle ? handles[n / 2].max(v) : s.max(names[n], v);
+            ref[names[n]] = std::max(ref[names[n]], v);
+            break;
+        }
+        if (rng() % 1000 == 0) {
+            s.clear();
+            ref.clear();
+        }
+        if (step % 97 == 0) {
+            ASSERT_EQ(s.snapshot(), ref) << "step " << step;
+            for (const std::string &name : names) {
+                ASSERT_EQ(s.has(name), ref.count(name) != 0) << name;
+                ASSERT_EQ(s.get(name), ref.count(name) ? ref[name] : 0)
+                    << name;
+            }
+        }
+    }
+    EXPECT_EQ(s.snapshot(), ref);
+}
+
+// ---------------------------------------------------------------------
+// Engine dispatch order vs a std::priority_queue reference
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** What event @p id does when it fires: a pure function of (seed, id),
+ *  so the engine and the reference replay the same program. */
+struct EventAction
+{
+    unsigned children;        //!< events scheduled by this one
+    TimeNs delay[2];          //!< their offsets from now (ties common)
+    bool cancels;             //!< also cancels one earlier event
+    std::uint64_t victimDraw; //!< which one, modulo ids issued so far
+};
+
+EventAction
+actionOf(std::uint64_t seed, std::uint64_t id)
+{
+    std::mt19937_64 r(seed * 1000003 + id);
+    EventAction a;
+    a.children = unsigned(r() % 3);
+    for (TimeNs &d : a.delay)
+        d = r() % 3 == 0 ? 0 : TimeNs(r() % 6);
+    a.cancels = r() % 4 == 0;
+    a.victimDraw = r();
+    return a;
+}
+
+/** One dispatch: the event id, or a cancel attempt and its result. */
+using Trace = std::vector<std::uint64_t>;
+constexpr std::uint64_t kCancelled = 1ull << 62;
+constexpr std::uint64_t kMissed = 1ull << 63;
+
+constexpr unsigned kInitialEvents = 400;
+constexpr std::uint64_t kEventBudget = 30000;
+constexpr TimeNs kSlice = 7;
+
+/** The program on sim::Engine, run in slices of kSlice ns. */
+Trace
+engineTrace(std::uint64_t seed)
+{
+    Engine e;
+    Trace trace;
+    std::vector<std::uint64_t> handles;
+    std::function<void(std::uint64_t)> fire;
+    const auto spawn = [&](TimeNs when) {
+        const std::uint64_t id = handles.size();
+        handles.push_back(e.schedule(when, [&fire, id] { fire(id); }));
+    };
+    fire = [&](std::uint64_t id) {
+        trace.push_back(id);
+        const EventAction a = actionOf(seed, id);
+        for (unsigned c = 0; c < a.children; ++c)
+            if (handles.size() < kEventBudget)
+                spawn(e.now() + a.delay[c]);
+        if (a.cancels) {
+            const std::uint64_t v = a.victimDraw % handles.size();
+            trace.push_back(v | (e.cancel(handles[v]) ? kCancelled
+                                                      : kMissed));
+        }
+    };
+    std::mt19937_64 r(seed);
+    for (unsigned i = 0; i < kInitialEvents; ++i)
+        spawn(TimeNs(r() % 50));
+    for (TimeNs until = 0; e.pending() > 0; until += kSlice)
+        e.run(until);
+    return trace;
+}
+
+/** The same program on a priority queue keyed by (when, seq). */
+Trace
+referenceTrace(std::uint64_t seed)
+{
+    struct Ev
+    {
+        TimeNs when;
+        std::uint64_t seq; //!< == id: ids are issued in schedule order
+    };
+    const auto later = [](const Ev &a, const Ev &b) {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    };
+    std::priority_queue<Ev, std::vector<Ev>, decltype(later)> q(later);
+    std::vector<bool> done; // dispatched or cancelled
+    Trace trace;
+    const auto spawn = [&](TimeNs when) {
+        q.push({when, done.size()});
+        done.push_back(false);
+    };
+    std::mt19937_64 r(seed);
+    for (unsigned i = 0; i < kInitialEvents; ++i)
+        spawn(TimeNs(r() % 50));
+    while (!q.empty()) {
+        const Ev ev = q.top();
+        q.pop();
+        if (done[ev.seq])
+            continue;
+        done[ev.seq] = true;
+        trace.push_back(ev.seq);
+        const EventAction a = actionOf(seed, ev.seq);
+        for (unsigned c = 0; c < a.children; ++c)
+            if (done.size() < kEventBudget)
+                spawn(ev.when + a.delay[c]);
+        if (a.cancels) {
+            const std::uint64_t v = a.victimDraw % done.size();
+            trace.push_back(v | (done[v] ? kMissed : kCancelled));
+            done[v] = true;
+        }
+    }
+    return trace;
+}
+
+} // namespace
+
+TEST(EngineDifferential, DispatchOrderMatchesPriorityQueue)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const Trace got = engineTrace(seed);
+        const Trace want = referenceTrace(seed);
+        ASSERT_GT(want.size(), std::size_t(kInitialEvents)) << seed;
+        ASSERT_EQ(got, want) << "seed " << seed;
+    }
 }
